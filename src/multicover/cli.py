@@ -24,7 +24,6 @@ from .localize import configuration_contribution, multiple_cover_invariant
 __all__ = ["ReferenceTable", "load_reference_table", "main"]
 
 DEFAULT_MAX_DEGREE = 12
-TABLE_DEGREES = range(2, 10)
 
 
 @dataclass(frozen=True)

@@ -265,9 +265,12 @@ def factorize(n: int) -> list:
     """Prime factorization of n >= 1 as a sorted list of (prime, exponent).
 
     Trial division by small primes first; larger cofactors are split with
-    perfect-power extraction and Pollard rho, with Miller-Rabin certifying
-    the prime pieces.  Exact for everything this package produces (prime
-    factors up to ~1e17); cryptographic-scale semiprimes are out of scope.
+    perfect-power extraction and Pollard rho, with Miller-Rabin testing the
+    pieces.  Rho's cost grows with the square root of the second-largest
+    prime factor of a cofactor, so a large prime such as the d = 11
+    invariant's 180676454678820675709 (~1.8e20) is found, but semiprimes
+    with two large factors are out of scope.  Pieces above ~3.3e24 are
+    probable primes (Miller-Rabin with 25 fixed bases), not proven ones.
     """
     if n < 1:
         raise ValueError("factorize expects a positive integer")

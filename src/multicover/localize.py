@@ -10,10 +10,12 @@ chain is handled.
 
 Every configuration multiplies out to a degree-zero monomial -- a pure
 number -- and the invariant is their exact sum.  Because the factors are
-side-local, the double sum over (chain over 0) x (chain over infinity)
-equals base * S * flip(S) with S the one-sided sum; that factored form is
-the default evaluation path, and the configuration-by-configuration path
-is kept (with optional parallelism) as a cross-check.
+side-local, that sum equals base * S * flip(S) with S the one-sided sum,
+and because a step's factors depend only on its kind and the incoming
+node weight, S is a memoized sum over the (contact, degree, weight) states
+of the chain automaton: the default path, polynomial in d.  Chains are
+enumerated one by one only for the ``--breakdown`` traces and for the
+configuration-by-configuration cross-check (with optional parallelism).
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .contributions import (
     base_contribution,
@@ -35,18 +37,23 @@ from .exact import MONO_ONE, MONO_ZERO, AlphaMonomial, PsiLinear, alpha_flip
 from .fixedpoints import (
     Chain,
     Configuration,
+    Contact,
     Family,
+    FixedMapKind,
     NodeEnd,
+    UnsupportedDegreeError,
+    _step_candidates,
     base_tangent_weight,
-    enumerate_chains,
     enumerate_configurations,
     source_tangent_weight,
+    transition,
 )
 
 __all__ = [
     "ConfigurationReport",
     "PsiAssemblyError",
     "DegreeZeroViolation",
+    "step_factors",
     "chain_factors",
     "configuration_contribution",
     "side_sum",
@@ -78,13 +85,41 @@ class ConfigurationReport:
     total: AlphaMonomial
 
 
+@lru_cache(maxsize=None)
+def step_factors(kind: FixedMapKind) -> Tuple[Tuple[str, AlphaMonomial], ...]:
+    """Labeled multiplicative factors of one bubble step, in the 0-side frame.
+
+    Labels: ``main`` for a rigid map factor, ``main_psi_coeff`` /
+    ``psi_integral`` for the integrated family pair, then
+    ``divisor_tangent`` and ``automorphisms`` when they are not 1.
+    """
+    bundle = end_contribution(kind) if kind.is_end_bubble else ruled_contribution(kind)
+    factors: List[Tuple[str, AlphaMonomial]] = []
+    if bundle.main.psi:
+        if not isinstance(kind.shape, Family):
+            raise PsiAssemblyError(f"psi factor on non-family step {kind.describe()}")
+        if bundle.main.const:
+            raise PsiAssemblyError(
+                f"family factor of {kind.describe()} has a constant part"
+            )
+        factors.append(("main_psi_coeff", bundle.main.psi))
+        factors.append(
+            ("psi_integral", AlphaMonomial(psi_integral(kind.degree, kind.shape.h)))
+        )
+    else:
+        factors.append(("main", bundle.main.const))
+    if bundle.auxiliary != MONO_ONE:
+        factors.append(("divisor_tangent", bundle.auxiliary))
+    if bundle.automorphism_scale != 1:
+        factors.append(("automorphisms", AlphaMonomial(bundle.automorphism_scale)))
+    return tuple(factors)
+
+
 def chain_factors(chain: Chain) -> List[Tuple[str, AlphaMonomial]]:
     """Ordered multiplicative factors of one chain, in the 0-side frame.
 
-    Labels: ``smooth[a->b]`` for node smoothings, ``step<i>.main`` for
-    rigid map factors, ``step<i>.main_psi_coeff`` / ``step<i>.psi_integral``
-    for the integrated family pair, and ``step<i>.divisor_tangent`` /
-    ``step<i>.automorphisms`` for a ruled bubble's auxiliary column.
+    Labels: ``smooth[a->b]`` for node smoothings and ``step<i>.<label>``
+    for the labels of :func:`step_factors`.
     """
     factors: List[Tuple[str, AlphaMonomial]] = []
     prev_out = base_tangent_weight(chain.degree)
@@ -92,50 +127,32 @@ def chain_factors(chain: Chain) -> List[Tuple[str, AlphaMonomial]]:
     for i, step in enumerate(chain.steps, 1):
         w_in = source_tangent_weight(step, NodeEnd.NODE_IN)
         factors.append((f"smooth[{prev_name}->{i}]", node_smoothing(prev_out, w_in)))
-        bundle = end_contribution(step) if step.is_end_bubble else ruled_contribution(step)
-        if bundle.main.psi:
-            if not isinstance(step.shape, Family):
-                raise PsiAssemblyError(f"psi factor on non-family step {step.describe()}")
-            if bundle.main.const:
-                raise PsiAssemblyError(
-                    f"family factor of {step.describe()} has a constant part"
-                )
-            factors.append((f"step{i}.main_psi_coeff", bundle.main.psi))
-            factors.append(
-                (
-                    f"step{i}.psi_integral",
-                    AlphaMonomial(psi_integral(step.degree, step.shape.h)),
-                )
-            )
-        else:
-            factors.append((f"step{i}.main", bundle.main.const))
-        if bundle.auxiliary != MONO_ONE:
-            factors.append((f"step{i}.divisor_tangent", bundle.auxiliary))
-        if bundle.automorphism_scale != 1:
-            factors.append(
-                (f"step{i}.automorphisms", AlphaMonomial(bundle.automorphism_scale))
-            )
+        factors.extend((f"step{i}.{label}", m) for label, m in step_factors(step))
         if not step.is_end_bubble:
             prev_out = source_tangent_weight(step, NodeEnd.NODE_OUT)
             prev_name = str(i)
     return factors
 
 
-def _product(factors: Iterable[AlphaMonomial]) -> AlphaMonomial:
-    out = MONO_ONE
-    for f in factors:
-        out = out * f
-    return out
-
-
 @lru_cache(maxsize=None)
-def _chains(d: int) -> tuple:
-    return tuple(enumerate_chains(d))
-
-
-@lru_cache(maxsize=None)
-def _chain_products(d: int) -> tuple:
-    return tuple(_product(m for _, m in chain_factors(c)) for c in _chains(d))
+def _state_sum(contact: Contact, m: int, w: Fraction) -> AlphaMonomial:
+    """Sum over the chain tails from a degree-m bubble met at ``contact``
+    through a node whose other side has tangent weight ``w``, pruned as in
+    :func:`enumerate_chains`."""
+    total = MONO_ZERO
+    for kind in _step_candidates(contact, m):
+        w_in = source_tangent_weight(kind, NodeEnd.NODE_IN)
+        if w + w_in == 0:
+            continue
+        term = node_smoothing(w, w_in)
+        for _, factor in step_factors(kind):
+            term = term * factor
+        nxt = transition(kind)
+        if nxt is not None:
+            out = source_tangent_weight(kind, NodeEnd.NODE_OUT)
+            term = term * _state_sum(nxt[0], nxt[1], out)
+        total = total + term
+    return total
 
 
 def configuration_contribution(cfg: Configuration) -> ConfigurationReport:
@@ -164,9 +181,9 @@ def side_sum(d: int, side: str) -> PsiLinear:
     excluded); the infinity side is the a -> -a flip of the zero side."""
     if side not in ("zero", "infinity"):
         raise ValueError(f"side must be 'zero' or 'infinity', got {side!r}")
-    total = MONO_ZERO
-    for term in _chain_products(d):
-        total = total + term
+    if d < 2:
+        raise UnsupportedDegreeError(f"degree must be at least 2, got {d}")
+    total = _state_sum(Contact.P0, d, base_tangent_weight(d))
     if side == "infinity":
         total = alpha_flip(total)
     return PsiLinear(total)
@@ -182,7 +199,7 @@ def multiple_cover_invariant(
     """The exact degree-d invariant.
 
     ``method="factored"`` evaluates base * S * flip(S) from the one-sided
-    chain sums; ``method="pairwise"`` sums configuration_contribution over
+    state sum; ``method="pairwise"`` sums configuration_contribution over
     the full configuration list (optionally permuted by ``order`` or
     evaluated with ``workers`` threads) -- identical by exactness, kept as
     the determinism cross-check.

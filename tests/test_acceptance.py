@@ -36,8 +36,8 @@ def report(number, ok, detail):
 
 
 def cold_caches():
-    localize._chains.cache_clear()
-    localize._chain_products.cache_clear()
+    localize._state_sum.cache_clear()
+    localize.step_factors.cache_clear()
 
 
 def best_time(fn, repeats=5):

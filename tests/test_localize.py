@@ -5,12 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from multicover.exact import AlphaMonomial, alpha_flip
+from multicover import localize
+from multicover.contributions import end_contribution, psi_integral, ruled_contribution
+from multicover.exact import MONO_ONE, AlphaMonomial, alpha_flip
 from multicover.fixedpoints import (
     Contact,
     MonoH,
     MonoK,
     UnsupportedDegreeError,
+    _step_candidates,
     enumerate_chains,
     enumerate_configurations,
     make_kind,
@@ -21,6 +24,7 @@ from multicover.localize import (
     configuration_contribution,
     multiple_cover_invariant,
     side_sum,
+    step_factors,
 )
 
 F = Fraction
@@ -28,6 +32,13 @@ F = Fraction
 
 def mono(c, p=0):
     return AlphaMonomial(F(*c) if isinstance(c, tuple) else F(c), p)
+
+
+def product(factors):
+    out = MONO_ONE
+    for f in factors:
+        out = out * f
+    return out
 
 
 def find_config(d, zero_shape, inf_shape):
@@ -122,7 +133,34 @@ def test_headline_values():
 
 # -- evaluation paths ---------------------------------------------------------------
 
-@pytest.mark.parametrize("d", range(2, 6))
+@pytest.mark.parametrize("d", range(2, 10))
+def test_state_sum_matches_chain_enumeration(d):
+    chain_sum = sum(
+        (product(m for _, m in chain_factors(c)) for c in enumerate_chains(d)),
+        AlphaMonomial(0),
+    )
+    assert side_sum(d, "zero").const == chain_sum
+
+
+def test_step_factors_match_bundles_and_chain_traces():
+    for m in range(2, 7):
+        for contact in Contact:
+            for kind in _step_candidates(contact, m):
+                evaluate = end_contribution if kind.is_end_bubble else ruled_contribution
+                bundle = evaluate(kind)
+                main = bundle.main.const or bundle.main.psi * psi_integral(
+                    kind.degree, kind.shape.h
+                )
+                expected = main * bundle.auxiliary * bundle.automorphism_scale
+                assert product(f for _, f in step_factors(kind)) == expected
+        for chain in enumerate_chains(m):
+            trace = chain_factors(chain)
+            for i, step in enumerate(chain.steps, 1):
+                entries = [f for label, f in trace if label.startswith(f"step{i}.")]
+                assert product(entries) == product(f for _, f in step_factors(step))
+
+
+@pytest.mark.parametrize("d", range(2, 7))
 def test_pairwise_matches_factored(d):
     assert multiple_cover_invariant(d, method="pairwise") == multiple_cover_invariant(d)
 
@@ -160,6 +198,14 @@ def test_unknown_method_rejected():
 def test_low_degree_propagates():
     with pytest.raises(UnsupportedDegreeError):
         multiple_cover_invariant(1)
+    with pytest.raises(UnsupportedDegreeError):
+        side_sum(1, "zero")
+
+
+def test_nonzero_invariant_power_rejected(monkeypatch):
+    monkeypatch.setattr(localize, "base_contribution", lambda d: mono(1, 1))
+    with pytest.raises(DegreeZeroViolation):
+        multiple_cover_invariant(2)
 
 
 def test_side_sum_validates_side():
