@@ -5,10 +5,8 @@ from .exact import (
     AlphaMonomial,
     FactoredRational,
     PsiLinear,
-    Rational,
     alpha_flip,
     format_factored,
-    mono_mul,
     parse_factored,
 )
 from .fixedpoints import (

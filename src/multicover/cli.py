@@ -45,6 +45,8 @@ def _parse_table_text(text: str, source: str) -> ReferenceTable:
         try:
             d_text, value_text = line.split("\t")
             d = int(d_text)
+            if d in rows:
+                raise FactoredFormatError(f"duplicate row for d={d}")
             rows[d] = FactoredRational.from_text(value_text)
         except (ValueError, FactoredFormatError) as exc:
             raise FactoredFormatError(f"{source}:{lineno}: {exc}") from exc
@@ -70,7 +72,7 @@ def _print_breakdown(d: int, out) -> Fraction:
         report = configuration_contribution(cfg)
         out.write(f"config={cfg.describe()}\n")
         for label, value in report.per_factor_trace:
-            out.write(f"factor.{label}={value.const}\n")
+            out.write(f"factor.{label}={value}\n")
         out.write(f"total={report.total.coeff}\n\n")
         total += report.total.coeff
     return total

@@ -22,20 +22,16 @@ from fractions import Fraction
 from typing import Iterable
 
 __all__ = [
-    "Rational",
     "AlphaMonomial",
     "PsiLinear",
     "FactoredRational",
     "FactoredFormatError",
-    "mono_mul",
     "alpha_flip",
     "format_factored",
     "parse_factored",
     "factorize",
     "is_prime",
 ]
-
-Rational = Fraction
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -96,11 +92,6 @@ class AlphaMonomial:
 
 MONO_ZERO = AlphaMonomial(_ZERO, 0)
 MONO_ONE = AlphaMonomial(_ONE, 0)
-
-
-def mono_mul(a: AlphaMonomial, b: AlphaMonomial) -> AlphaMonomial:
-    """Product of two monomials: coefficients multiply, powers add."""
-    return a * b
 
 
 @dataclass(frozen=True)
@@ -300,7 +291,9 @@ class FactoredRational:
 
     Invariants: all bases prime and strictly ascending within each list,
     exponents >= 1, no base shared between numerator and denominator.
-    An empty list denotes 1.
+    An empty list denotes 1.  Primality is checked with :func:`is_prime`,
+    so bases above ~3.3e24 are Miller-Rabin probable primes, not proven
+    ones.
     """
 
     sign: int
@@ -373,7 +366,7 @@ def format_factored(q: Fraction) -> str:
 
 
 def _parse_int(token: str, what: str) -> int:
-    if not token or not token.isdigit() or (token[0] == "0" and token != "0"):
+    if not (token.isascii() and token.isdigit()) or (token[0] == "0" and token != "0"):
         raise FactoredFormatError(f"malformed {what} {token!r}")
     return int(token)
 

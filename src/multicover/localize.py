@@ -15,16 +15,15 @@ and because a step's factors depend only on its kind and the incoming
 node weight, S is a memoized sum over the (contact, degree, weight) states
 of the chain automaton: the default path, polynomial in d.  Chains are
 enumerated one by one only for the ``--breakdown`` traces and for the
-configuration-by-configuration cross-check (with optional parallelism).
+configuration-by-configuration cross-check.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
 from .contributions import (
     base_contribution,
@@ -81,7 +80,7 @@ class ConfigurationReport:
     """
 
     configuration: Configuration
-    per_factor_trace: Tuple[Tuple[str, PsiLinear], ...]
+    per_factor_trace: Tuple[Tuple[str, AlphaMonomial], ...]
     total: AlphaMonomial
 
 
@@ -157,16 +156,14 @@ def _state_sum(contact: Contact, m: int, w: Fraction) -> AlphaMonomial:
 
 def configuration_contribution(cfg: Configuration) -> ConfigurationReport:
     """Labeled factor trace and degree-zero total of one configuration."""
-    trace: List[Tuple[str, PsiLinear]] = [
-        ("base", PsiLinear(base_contribution(cfg.cover_degree)))
-    ]
     total = base_contribution(cfg.cover_degree)
+    trace: List[Tuple[str, AlphaMonomial]] = [("base", total)]
     for label, mono in chain_factors(cfg.chain_zero):
-        trace.append((f"zero.{label}", PsiLinear(mono)))
+        trace.append((f"zero.{label}", mono))
         total = total * mono
     for label, mono in chain_factors(cfg.chain_infinity):
         flipped = alpha_flip(mono)
-        trace.append((f"infinity.{label}", PsiLinear(flipped)))
+        trace.append((f"infinity.{label}", flipped))
         total = total * flipped
     if total.power != 0:
         lines = "\n".join(f"  {label} = {value}" for label, value in trace)
@@ -189,20 +186,13 @@ def side_sum(d: int, side: str) -> PsiLinear:
     return PsiLinear(total)
 
 
-def multiple_cover_invariant(
-    d: int,
-    *,
-    method: str = "factored",
-    workers: Optional[int] = None,
-    order: Optional[Sequence[int]] = None,
-) -> Fraction:
+def multiple_cover_invariant(d: int, *, method: str = "factored") -> Fraction:
     """The exact degree-d invariant.
 
     ``method="factored"`` evaluates base * S * flip(S) from the one-sided
     state sum; ``method="pairwise"`` sums configuration_contribution over
-    the full configuration list (optionally permuted by ``order`` or
-    evaluated with ``workers`` threads) -- identical by exactness, kept as
-    the determinism cross-check.
+    the full configuration list -- identical by exactness, kept as the
+    independent cross-check.
     """
     if method == "factored":
         s0 = side_sum(d, "zero").const
@@ -212,17 +202,7 @@ def multiple_cover_invariant(
         return total.coeff
     if method != "pairwise":
         raise ValueError(f"unknown method {method!r}")
-    configs = enumerate_configurations(d)
-    if order is not None:
-        if sorted(order) != list(range(len(configs))):
-            raise ValueError("order must be a permutation of the configuration list")
-        configs = [configs[i] for i in order]
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(configuration_contribution, configs))
-    else:
-        reports = [configuration_contribution(c) for c in configs]
     total = Fraction(0)
-    for report in reports:
-        total += report.total.coeff
+    for cfg in enumerate_configurations(d):
+        total += configuration_contribution(cfg).total.coeff
     return total

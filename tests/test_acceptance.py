@@ -171,9 +171,8 @@ def test_criterion_8_determinism():
     for d in range(2, 6):
         reference = multiple_cover_invariant(d)
         serial = multiple_cover_invariant(d, method="pairwise")
-        parallel = multiple_cover_invariant(d, method="pairwise", workers=4)
-        order = list(range(len(enumerate_configurations(d))))
-        rng.shuffle(order)
-        permuted = multiple_cover_invariant(d, method="pairwise", order=order)
-        ok = ok and serial == parallel == permuted == reference
-    report(8, ok, "serial, parallel, and permuted sums bit-identical for d = 2..5")
+        configs = enumerate_configurations(d)
+        rng.shuffle(configs)
+        permuted = sum(configuration_contribution(c).total.coeff for c in configs)
+        ok = ok and serial == permuted == reference
+    report(8, ok, "serial and permuted sums bit-identical to the state sum for d = 2..5")

@@ -123,6 +123,16 @@ def test_malformed_table_rejected(tmp_path, capsys):
     assert "cannot load table" in err
 
 
+def test_duplicate_table_row_rejected(tmp_path, capsys):
+    table = tmp_path / "table.txt"
+    table.write_text("2\t-1/(2^3*5^2)\n2\t-1/(2^3*5^3)\n", encoding="utf-8")
+    code, out, err = run(capsys, "verify", "--max-degree", "2", "--table", str(table))
+    assert code == 2
+    assert out == ""
+    assert "cannot load table" in err
+    assert "duplicate row for d=2" in err
+
+
 def test_shipped_table_shape():
     table = load_reference_table()
     assert sorted(table.rows) == list(range(2, 10))

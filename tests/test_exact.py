@@ -16,7 +16,6 @@ from multicover.exact import (
     factorize,
     format_factored,
     is_prime,
-    mono_mul,
     parse_factored,
 )
 
@@ -30,12 +29,12 @@ def mono(c, p=0):
 # -- monomials ---------------------------------------------------------------
 
 def test_mono_mul_direct_product():
-    assert mono_mul(mono((3, 4), 8), mono((2, 15), -4)) == mono((1, 10), 4)
+    assert mono((3, 4), 8) * mono((2, 15), -4) == mono((1, 10), 4)
 
 
 def test_mono_mul_identity():
     m = mono((-7, 3), -5)
-    assert mono_mul(m, mono(1, 0)) == m
+    assert m * mono(1, 0) == m
 
 
 def test_mono_mul_double_cover_chain():
@@ -188,6 +187,9 @@ def test_parse_accepts_unparenthesized_numerator():
         ("(2^3)", "parentheses"),
         ("2^x", "exponent"),
         ("02", "base"),
+        ("-1/(٢^3*5^2)", "base"),
+        ("２", "base"),
+        ("2²", "base"),
     ],
 )
 def test_parse_errors_name_offender(text, fragment):

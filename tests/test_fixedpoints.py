@@ -15,6 +15,8 @@ from multicover.fixedpoints import (
     MonoK,
     NodeEnd,
     UnsupportedDegreeError,
+    _action_speed,
+    _step_candidates,
     base_tangent_weight,
     enumerate_chains,
     enumerate_configurations,
@@ -90,6 +92,17 @@ def test_base_weight_orientation():
     assert base_tangent_weight(2) + source_tangent_weight(
         kind(Contact.P0, 2, MonoH(1)), NodeEnd.NODE_IN
     ) == F(-5, 2)
+
+
+def test_action_speed_matches_weight_table():
+    # the hand-written speeds are the weight table's c = (w0 - w_slot) / (d - e)
+    for m in range(2, 13):
+        for contact in Contact:
+            for fk in _step_candidates(contact, m):
+                w = v4_weights(fk)
+                slot = 2 if isinstance(fk.shape, MonoK) else 1
+                expected = (w[0] - w[slot]) / (fk.degree - fk.outgoing_exponent)
+                assert _action_speed(fk) == expected, fk.describe()
 
 
 def test_opposite_ends_carry_opposite_weights():

@@ -75,12 +75,12 @@ def test_double_cover_trace_factors():
     cfg = find_config(2, MonoK(1), MonoK(1))
     report = configuration_contribution(cfg)
     trace = dict(report.per_factor_trace)
-    assert trace["base"].const == mono((-9, 32), 8)
-    assert trace["zero.smooth[base->1]"].const == mono((-2, 3), -1)
-    assert trace["zero.step1.main"].const == mono((-1, 2), -3)
+    assert trace["base"] == mono((-9, 32), 8)
+    assert trace["zero.smooth[base->1]"] == mono((-2, 3), -1)
+    assert trace["zero.step1.main"] == mono((-1, 2), -3)
     # infinity-side entries are stored already flipped
-    assert trace["infinity.smooth[base->1]"].const == mono((2, 3), -1)
-    assert trace["infinity.step1.main"].const == mono((1, 2), -3)
+    assert trace["infinity.smooth[base->1]"] == mono((2, 3), -1)
+    assert trace["infinity.step1.main"] == mono((1, 2), -3)
 
 
 def test_trace_multiplies_to_total():
@@ -88,8 +88,8 @@ def test_trace_multiplies_to_total():
         report = configuration_contribution(cfg)
         product = AlphaMonomial(F(1))
         for _, value in report.per_factor_trace:
-            assert not value.psi
-            product = product * value.const
+            assert isinstance(value, AlphaMonomial)
+            product = product * value
         assert product == report.total
 
 
@@ -168,26 +168,10 @@ def test_pairwise_matches_factored(d):
 def test_order_independence():
     rng = random.Random(20260809)
     for d in (2, 3, 4):
-        n = len(enumerate_configurations(d))
-        order = list(range(n))
-        rng.shuffle(order)
-        assert (
-            multiple_cover_invariant(d, method="pairwise", order=order)
-            == multiple_cover_invariant(d)
-        )
-
-
-def test_parallel_evaluation_identical():
-    for d in (2, 3, 4):
-        assert (
-            multiple_cover_invariant(d, method="pairwise", workers=4)
-            == multiple_cover_invariant(d)
-        )
-
-
-def test_bad_order_rejected():
-    with pytest.raises(ValueError):
-        multiple_cover_invariant(2, method="pairwise", order=[0, 0, 1, 2])
+        configs = enumerate_configurations(d)
+        rng.shuffle(configs)
+        permuted = sum(configuration_contribution(c).total.coeff for c in configs)
+        assert permuted == multiple_cover_invariant(d)
 
 
 def test_unknown_method_rejected():
