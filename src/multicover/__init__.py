@@ -4,7 +4,6 @@ bundle O(-1) + O(-1), by enumeration of torus-fixed configurations."""
 from .exact import (
     AlphaMonomial,
     FactoredRational,
-    PsiLinear,
     alpha_flip,
     format_factored,
     parse_factored,

@@ -17,7 +17,7 @@ from fractions import Fraction
 from importlib import resources
 from typing import Dict, Optional
 
-from .exact import FactoredFormatError, FactoredRational, format_factored
+from .exact import FactoredFormatError, FactoredRational, _parse_int, format_factored
 from .fixedpoints import UnsupportedDegreeError, enumerate_configurations
 from .localize import configuration_contribution, multiple_cover_invariant
 
@@ -44,7 +44,7 @@ def _parse_table_text(text: str, source: str) -> ReferenceTable:
             continue
         try:
             d_text, value_text = line.split("\t")
-            d = int(d_text)
+            d = _parse_int(d_text, "degree")
             if d in rows:
                 raise FactoredFormatError(f"duplicate row for d={d}")
             rows[d] = FactoredRational.from_text(value_text)

@@ -11,11 +11,13 @@ target:
 * the end bubble, whose factor is self-contained,
 * a smoothing factor ``1/(w_left + w_right)`` per source node.
 
-One-parameter families of fixed maps enter as psi-linear values: the class
-``psi`` is the first Chern class of the cotangent line at the outgoing
-contact point, integrates to ``-1/(d-h)`` over the family, and squares to
-zero.  End-bubble families carry the dual line (an extra automorphism), so
-their tabulated factor is the prefactor times ``-psi``.
+A one-parameter family of fixed maps contributes a factor linear in the
+class ``psi``, the first Chern class of the cotangent line at the outgoing
+contact point; its tabulated main factor is the coefficient of ``psi``.
+:func:`step_factors` integrates it on the spot over the one-dimensional
+locus, where ``psi`` integrates to ``-1/(d-h)``, so no product of two
+``psi`` classes ever arises.  End-bubble families carry the dual line (an
+extra automorphism), so their coefficient is minus the prefactor.
 """
 
 from __future__ import annotations
@@ -23,8 +25,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from typing import List, Tuple
 
-from .exact import AlphaMonomial, PsiLinear, MONO_ONE, MONO_ZERO
+from .exact import AlphaMonomial, MONO_ONE
 from .fixedpoints import Contact, Family, FixedMapKind, MonoH, MonoK
 
 __all__ = [
@@ -34,6 +38,7 @@ __all__ = [
     "ruled_contribution",
     "end_contribution",
     "psi_integral",
+    "step_factors",
     "node_smoothing",
 ]
 
@@ -63,14 +68,15 @@ def _ceil_half(n: int) -> int:
 class FactorBundle:
     """A bubble map's tabulated factors.
 
-    ``main`` is the normal-bundle factor (psi-linear exactly for family
-    rows); ``auxiliary`` is the divisor-tangent factor at the outgoing node
-    (unit for end bubbles, which have none); ``automorphism_scale`` is the
-    reciprocal order of the map's finite reparametrization group (end rows
-    already include it).
+    ``main`` is the normal-bundle factor; on ``Family`` rows it is the
+    coefficient of psi, still to be integrated over the family (see
+    :func:`step_factors`).  ``auxiliary`` is the divisor-tangent factor at
+    the outgoing node (unit for end bubbles, which have none);
+    ``automorphism_scale`` is the reciprocal order of the map's finite
+    reparametrization group (end rows already include it).
     """
 
-    main: PsiLinear
+    main: AlphaMonomial
     auxiliary: AlphaMonomial = MONO_ONE
     automorphism_scale: Fraction = Fraction(1)
 
@@ -116,7 +122,7 @@ def ruled_contribution(kind: FixedMapKind) -> FactorBundle:
             * _family_sum(d, h, k)
         )
         return FactorBundle(
-            PsiLinear(MONO_ZERO, AlphaMonomial(coeff, e)),
+            AlphaMonomial(coeff, e),
             AlphaMonomial(Fraction(2), 2),
             Fraction(1, d - k),
         )
@@ -136,7 +142,7 @@ def ruled_contribution(kind: FixedMapKind) -> FactorBundle:
                 * Fraction(2, d - h) ** e
             )
         return FactorBundle(
-            PsiLinear(AlphaMonomial(coeff, e)),
+            AlphaMonomial(coeff, e),
             AlphaMonomial(Fraction(2), 2),
             Fraction(1, d - h),
         )
@@ -157,7 +163,7 @@ def ruled_contribution(kind: FixedMapKind) -> FactorBundle:
         if c is Contact.P2
         else AlphaMonomial(Fraction(-1), 2)
     )
-    return FactorBundle(PsiLinear(AlphaMonomial(coeff, e)), aux, Fraction(1, d - k))
+    return FactorBundle(AlphaMonomial(coeff, e), aux, Fraction(1, d - k))
 
 
 def end_contribution(kind: FixedMapKind) -> FactorBundle:
@@ -181,11 +187,7 @@ def end_contribution(kind: FixedMapKind) -> FactorBundle:
             * Fraction(1, d - k) ** e
         )
         # prefactor times the dual cotangent class, i.e. -psi
-        return FactorBundle(
-            PsiLinear(MONO_ZERO, AlphaMonomial(-pref, e)),
-            MONO_ONE,
-            Fraction(1, d - k),
-        )
+        return FactorBundle(AlphaMonomial(-pref, e), MONO_ONE, Fraction(1, d - k))
 
     # single-slot end maps keep a reparametrization group of order d - 1;
     # its reciprocal rides along like the ruled rows' column
@@ -203,16 +205,16 @@ def end_contribution(kind: FixedMapKind) -> FactorBundle:
                 * Fraction(1, math.factorial(d - 1) * _double_factorial(d - 1)) ** 2
                 * Fraction(2, d - 1) ** e
             )
-        return FactorBundle(PsiLinear(AlphaMonomial(coeff, e)), MONO_ONE, scale)
+        return FactorBundle(AlphaMonomial(coeff, e), MONO_ONE, scale)
 
     if c is Contact.P2:
         coeff = Fraction((-1) ** (d - 1), d - 1) * Fraction(
             1, math.factorial(d - 1) * math.factorial(2 * d - 2)
         ) * Fraction(1, d - 1) ** e
-        return FactorBundle(PsiLinear(AlphaMonomial(coeff, e)), MONO_ONE, scale)
+        return FactorBundle(AlphaMonomial(coeff, e), MONO_ONE, scale)
 
     # the degree-2 short end map (the only such row at P0/P1)
-    return FactorBundle(PsiLinear(AlphaMonomial(Fraction(-1, 2), -3)), MONO_ONE, scale)
+    return FactorBundle(AlphaMonomial(Fraction(-1, 2), -3), MONO_ONE, scale)
 
 
 def psi_integral(d: int, h: int) -> Fraction:
@@ -220,6 +222,31 @@ def psi_integral(d: int, h: int) -> Fraction:
     if not 1 <= h <= d - 1:
         raise ValueError(f"psi integral needs 1 <= h <= d-1, got (d={d}, h={h})")
     return Fraction(-1, d - h)
+
+
+@lru_cache(maxsize=None)
+def step_factors(kind: FixedMapKind) -> Tuple[Tuple[str, AlphaMonomial], ...]:
+    """Labeled multiplicative factors of one bubble step, in the 0-side frame.
+
+    Labels: ``main`` for a rigid map factor, ``main_psi_coeff`` /
+    ``psi_integral`` for a family's psi coefficient and the integral of psi
+    over the family, then ``divisor_tangent`` and ``automorphisms`` when
+    they are not 1.
+    """
+    bundle = end_contribution(kind) if kind.is_end_bubble else ruled_contribution(kind)
+    factors: List[Tuple[str, AlphaMonomial]] = []
+    if isinstance(kind.shape, Family):
+        factors.append(("main_psi_coeff", bundle.main))
+        factors.append(
+            ("psi_integral", AlphaMonomial(psi_integral(kind.degree, kind.shape.h)))
+        )
+    else:
+        factors.append(("main", bundle.main))
+    if bundle.auxiliary != MONO_ONE:
+        factors.append(("divisor_tangent", bundle.auxiliary))
+    if bundle.automorphism_scale != 1:
+        factors.append(("automorphisms", AlphaMonomial(bundle.automorphism_scale)))
+    return tuple(factors)
 
 
 def node_smoothing(left_weight: Fraction, right_weight: Fraction) -> AlphaMonomial:

@@ -1,12 +1,10 @@
 """Exact scalar arithmetic for equivariant weight computations.
 
-Every quantity in the fixed-point sums is one of three things:
+Every quantity in the fixed-point sums is one of two things:
 
 * an arbitrary-precision rational (``fractions.Fraction``),
 * a single Laurent monomial ``c * a^k`` in the equivariant parameter ``a``
-  (``k`` may be negative),
-* a nilpotent pair ``u + v*psi`` with ``psi**2 == 0``, used while a
-  one-dimensional family contribution is still waiting to be integrated.
+  (``k`` may be negative).
 
 The module also implements the factored-rational text format used by the
 shipped results table (e.g. ``-1/(2^3*5^2)``), together with the integer
@@ -23,7 +21,6 @@ from typing import Iterable
 
 __all__ = [
     "AlphaMonomial",
-    "PsiLinear",
     "FactoredRational",
     "FactoredFormatError",
     "alpha_flip",
@@ -94,43 +91,10 @@ MONO_ZERO = AlphaMonomial(_ZERO, 0)
 MONO_ONE = AlphaMonomial(_ONE, 0)
 
 
-@dataclass(frozen=True)
-class PsiLinear:
-    """``const + psi * psi_part`` where ``psi**2 == 0``."""
-
-    const: AlphaMonomial = MONO_ZERO
-    psi: AlphaMonomial = MONO_ZERO
-
-    def __bool__(self) -> bool:
-        return bool(self.const) or bool(self.psi)
-
-    def __mul__(self, other: "PsiLinear") -> "PsiLinear":
-        if isinstance(other, AlphaMonomial):
-            other = PsiLinear(other)
-        return PsiLinear(
-            self.const * other.const,
-            self.const * other.psi + self.psi * other.const,
-        )
-
-    __rmul__ = __mul__
-
-    def __add__(self, other: "PsiLinear") -> "PsiLinear":
-        return PsiLinear(self.const + other.const, self.psi + other.psi)
-
-    def flip(self) -> "PsiLinear":
-        return PsiLinear(self.const.flip(), self.psi.flip())
-
-    def __str__(self) -> str:
-        if not self.psi:
-            return str(self.const)
-        return f"({self.const}) + psi*({self.psi})"
-
-
 def alpha_flip(x):
     """Apply a -> -a: each monomial c*a^k becomes (-1)^k * c * a^k.
 
-    Works on monomials and on psi-linear pairs; an involution and a ring
-    homomorphism in either case.
+    An involution and a multiplicative homomorphism.
     """
     return x.flip()
 
@@ -314,7 +278,7 @@ class FactoredRational:
                 if e < 1:
                     raise ValueError(f"{name} exponent for {p} must be >= 1")
                 if p <= prev:
-                    raise ValueError(f"{name} primes not strictly ascending at {p}")
+                    raise ValueError(f"{name} primes out of order at {p}")
                 prev = p
         shared = {p for p, _ in self.numerator_factors} & {
             p for p, _ in self.denominator_factors
@@ -377,18 +341,10 @@ def _parse_product(text: str) -> tuple:
     if not text:
         raise FactoredFormatError("empty product")
     factors = []
-    prev = 1
     for token in text.split("*"):
         base_text, sep, exp_text = token.partition("^")
         base = _parse_int(base_text, "base")
         exp = _parse_int(exp_text, "exponent") if sep else 1
-        if exp == 0:
-            raise FactoredFormatError(f"zero exponent in {token!r}")
-        if not is_prime(base):
-            raise FactoredFormatError(f"base {base_text!r} is not prime")
-        if base <= prev:
-            raise FactoredFormatError(f"primes out of order at {token!r}")
-        prev = base
         factors.append((base, exp))
     return tuple(factors)
 

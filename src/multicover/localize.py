@@ -3,10 +3,10 @@
 A configuration's contribution is the product of the base factor, every
 chain step's factors, and a smoothing factor per node, with the whole
 infinity side evaluated in the 0-side frame and then flipped a -> -a.
-Family steps are one-dimensional loci: their psi-linear factor is
-integrated on the spot (coefficient of psi times the psi integral), so the
-running product stays a single monomial and any number of family steps per
-chain is handled.
+A step's factors come from :func:`contributions.step_factors`, which
+integrates a family step's psi coefficient on the spot, so the running
+product stays a single monomial and any number of family steps per chain
+is handled.
 
 Every configuration multiplies out to a degree-zero monomial -- a pure
 number -- and the invariant is their exact sum.  Because the factors are
@@ -25,20 +25,12 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import List, Tuple
 
-from .contributions import (
-    base_contribution,
-    end_contribution,
-    node_smoothing,
-    psi_integral,
-    ruled_contribution,
-)
-from .exact import MONO_ONE, MONO_ZERO, AlphaMonomial, PsiLinear, alpha_flip
+from .contributions import base_contribution, node_smoothing, step_factors
+from .exact import MONO_ZERO, AlphaMonomial, alpha_flip
 from .fixedpoints import (
     Chain,
     Configuration,
     Contact,
-    Family,
-    FixedMapKind,
     NodeEnd,
     UnsupportedDegreeError,
     _step_candidates,
@@ -50,19 +42,12 @@ from .fixedpoints import (
 
 __all__ = [
     "ConfigurationReport",
-    "PsiAssemblyError",
     "DegreeZeroViolation",
-    "step_factors",
     "chain_factors",
     "configuration_contribution",
     "side_sum",
     "multiple_cover_invariant",
 ]
-
-
-class PsiAssemblyError(ValueError):
-    """A psi class appeared where none can live (non-family step, or a
-    family factor with both constant and psi parts)."""
 
 
 class DegreeZeroViolation(ArithmeticError):
@@ -82,36 +67,6 @@ class ConfigurationReport:
     configuration: Configuration
     per_factor_trace: Tuple[Tuple[str, AlphaMonomial], ...]
     total: AlphaMonomial
-
-
-@lru_cache(maxsize=None)
-def step_factors(kind: FixedMapKind) -> Tuple[Tuple[str, AlphaMonomial], ...]:
-    """Labeled multiplicative factors of one bubble step, in the 0-side frame.
-
-    Labels: ``main`` for a rigid map factor, ``main_psi_coeff`` /
-    ``psi_integral`` for the integrated family pair, then
-    ``divisor_tangent`` and ``automorphisms`` when they are not 1.
-    """
-    bundle = end_contribution(kind) if kind.is_end_bubble else ruled_contribution(kind)
-    factors: List[Tuple[str, AlphaMonomial]] = []
-    if bundle.main.psi:
-        if not isinstance(kind.shape, Family):
-            raise PsiAssemblyError(f"psi factor on non-family step {kind.describe()}")
-        if bundle.main.const:
-            raise PsiAssemblyError(
-                f"family factor of {kind.describe()} has a constant part"
-            )
-        factors.append(("main_psi_coeff", bundle.main.psi))
-        factors.append(
-            ("psi_integral", AlphaMonomial(psi_integral(kind.degree, kind.shape.h)))
-        )
-    else:
-        factors.append(("main", bundle.main.const))
-    if bundle.auxiliary != MONO_ONE:
-        factors.append(("divisor_tangent", bundle.auxiliary))
-    if bundle.automorphism_scale != 1:
-        factors.append(("automorphisms", AlphaMonomial(bundle.automorphism_scale)))
-    return tuple(factors)
 
 
 def chain_factors(chain: Chain) -> List[Tuple[str, AlphaMonomial]]:
@@ -173,7 +128,7 @@ def configuration_contribution(cfg: Configuration) -> ConfigurationReport:
     return ConfigurationReport(cfg, tuple(trace), total)
 
 
-def side_sum(d: int, side: str) -> PsiLinear:
+def side_sum(d: int, side: str) -> AlphaMonomial:
     """Sum of per-chain factor products over one side (base factor
     excluded); the infinity side is the a -> -a flip of the zero side."""
     if side not in ("zero", "infinity"):
@@ -181,9 +136,7 @@ def side_sum(d: int, side: str) -> PsiLinear:
     if d < 2:
         raise UnsupportedDegreeError(f"degree must be at least 2, got {d}")
     total = _state_sum(Contact.P0, d, base_tangent_weight(d))
-    if side == "infinity":
-        total = alpha_flip(total)
-    return PsiLinear(total)
+    return alpha_flip(total) if side == "infinity" else total
 
 
 def multiple_cover_invariant(d: int, *, method: str = "factored") -> Fraction:
@@ -195,7 +148,7 @@ def multiple_cover_invariant(d: int, *, method: str = "factored") -> Fraction:
     independent cross-check.
     """
     if method == "factored":
-        s0 = side_sum(d, "zero").const
+        s0 = side_sum(d, "zero")
         total = base_contribution(d) * s0 * alpha_flip(s0)
         if total.power != 0:
             raise DegreeZeroViolation(f"degree-{d} invariant has power {total.power}")

@@ -21,10 +21,15 @@ def test_compute_plain(capsys):
     assert out.strip() == "-1/200"
 
 
-def test_compute_factored(capsys):
-    code, out, _ = run(capsys, "compute", "2", "--factored")
+@pytest.mark.parametrize(
+    "degree, expected",
+    [(2, "-1/(2^3*5^2)"), (4, "-(3^6*7^2*233^2)/(2^44*11^2)")],
+    ids=["2", "4"],
+)
+def test_compute_factored(capsys, degree, expected):
+    code, out, _ = run(capsys, "compute", str(degree), "--factored")
     assert code == 0
-    assert out.strip() == "-1/(2^3*5^2)"
+    assert out.strip() == expected
 
 
 def test_compute_output_reparses_exactly(capsys):
@@ -131,6 +136,17 @@ def test_duplicate_table_row_rejected(tmp_path, capsys):
     assert out == ""
     assert "cannot load table" in err
     assert "duplicate row for d=2" in err
+
+
+@pytest.mark.parametrize("degree", ["٢", "+0_2"])
+def test_non_ascii_table_degree_rejected(tmp_path, capsys, degree):
+    table = tmp_path / "table.txt"
+    table.write_text(f"{degree}\t-1/(2^3*5^2)\n", encoding="utf-8")
+    code, out, err = run(capsys, "verify", "--max-degree", "2", "--table", str(table))
+    assert code == 2
+    assert out == ""
+    assert "cannot load table" in err
+    assert "malformed degree" in err
 
 
 def test_shipped_table_shape():

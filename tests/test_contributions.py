@@ -59,8 +59,7 @@ def test_base_power_and_sign():
 def test_ruled_monok_value():
     # d - k = 1 pattern shared by the degree-2 short map
     bundle = ruled_contribution(make_kind(Contact.P0, 3, MonoK(2)))
-    assert bundle.main.const == mono((-1, 2), -4)
-    assert not bundle.main.psi
+    assert bundle.main == mono((-1, 2), -4)
     assert bundle.auxiliary == mono(-1, 2)
     assert bundle.automorphism_scale == 1
 
@@ -68,26 +67,25 @@ def test_ruled_monok_value():
 def test_ruled_monok_evaluates_end_shaped_kind():
     # the expression itself at (d, k) = (2, 1)
     bundle = ruled_contribution(make_kind(Contact.P0, 2, MonoK(1)))
-    assert bundle.main.const == mono((-1, 2), -4)
+    assert bundle.main == mono((-1, 2), -4)
 
 
 def test_ruled_monoh_value():
     bundle = ruled_contribution(make_kind(Contact.P0, 4, MonoH(3)))
-    assert bundle.main.const == mono((1, 8), -4)
+    assert bundle.main == mono((1, 8), -4)
     assert bundle.auxiliary == mono(2, 2)
     assert bundle.automorphism_scale == 1
 
 
 def test_ruled_monoh_expression_at_degree_two():
     bundle = ruled_contribution(make_kind(Contact.P0, 2, MonoH(1)))
-    assert bundle.main.const == mono((1, 8), -4)
+    assert bundle.main == mono((1, 8), -4)
 
 
 def test_ruled_family_psi_coefficient():
     bundle = ruled_contribution(make_kind(Contact.P0, 4, Family(2, 3)))
-    assert not bundle.main.const
     # sum over i=1: 1/(2-1) + 1/(3-1) + 1/(4-1) = 11/6
-    assert bundle.main.psi == AlphaMonomial(-F(1, 4) * F(11, 6), -7)
+    assert bundle.main == AlphaMonomial(-F(1, 4) * F(11, 6), -7)
     assert bundle.auxiliary == mono(2, 2)
     assert bundle.automorphism_scale == F(1, 1)
 
@@ -101,7 +99,7 @@ def test_ruled_monok_scale():
     bundle = ruled_contribution(make_kind(Contact.P0, 4, MonoK(2)))
     assert bundle.automorphism_scale == F(1, 2)
     # (-1/2) * 1/(2! 4!) * (1/2)^(-7)
-    assert bundle.main.const == mono((-4, 3), -7)
+    assert bundle.main == mono((-4, 3), -7)
 
 
 def test_p2_rows_keep_positive_divisor_tangent():
@@ -113,26 +111,25 @@ def test_p2_rows_keep_positive_divisor_tangent():
 # -- end rows --------------------------------------------------------------------
 
 def test_end_short_maps_double_cover():
-    assert end_contribution(make_kind(Contact.P0, 2, MonoK(1))).main.const == mono((-1, 2), -3)
-    assert end_contribution(make_kind(Contact.P0, 2, MonoH(1))).main.const == mono((1, 2), -3)
-    assert end_contribution(make_kind(Contact.P1, 2, MonoK(1))).main.const == mono((-1, 2), -3)
+    assert end_contribution(make_kind(Contact.P0, 2, MonoK(1))).main == mono((-1, 2), -3)
+    assert end_contribution(make_kind(Contact.P0, 2, MonoH(1))).main == mono((1, 2), -3)
+    assert end_contribution(make_kind(Contact.P1, 2, MonoK(1))).main == mono((-1, 2), -3)
 
 
 def test_end_p2_monok_value():
     bundle = end_contribution(make_kind(Contact.P2, 3, MonoK(1)))
-    assert bundle.main.const == mono((2, 3), -6)
+    assert bundle.main == mono((2, 3), -6)
     assert bundle.automorphism_scale == F(1, 2)
 
 
 def test_end_p2_monoh_value():
     bundle = end_contribution(make_kind(Contact.P2, 2, MonoH(1)))
-    assert bundle.main.const == mono((-1, 2), -3)
+    assert bundle.main == mono((-1, 2), -3)
 
 
 def test_end_family_is_pure_psi():
     bundle = end_contribution(make_kind(Contact.P0, 3, Family(1, 2)))
-    assert not bundle.main.const
-    assert bundle.main.psi == mono((1, 4), -6)  # minus the (-1)^(k+1) prefactor
+    assert bundle.main == mono((1, 4), -6)  # minus the (-1)^(k+1) prefactor
     assert bundle.automorphism_scale == F(1, 1)
     deeper = end_contribution(make_kind(Contact.P1, 5, Family(1, 3)))
     assert deeper.automorphism_scale == F(1, 2)
@@ -154,9 +151,8 @@ def test_main_power_matches_tabulated_exponent():
             exp = s.k if isinstance(s, MonoK) else s.h
             expected = 3 * exp - 3 * d - 1
             main = ruled_contribution(kind).main
-        value = main.psi if main.psi else main.const
-        if value:
-            assert value.power == expected
+        if main:
+            assert main.power == expected
 
 
 # -- psi integral ----------------------------------------------------------------
@@ -203,6 +199,6 @@ def test_double_cover_side_assembly():
     for shape, main in ((MonoK(1), mono((-1, 2), -3)), (MonoH(1), mono((1, 2), -3))):
         kind = make_kind(Contact.P0, 2, shape)
         w = source_tangent_weight(kind, NodeEnd.NODE_IN)
-        assert end_contribution(kind).main.const == main
+        assert end_contribution(kind).main == main
         total = total + node_smoothing(base, w) * main
     assert total == mono((2, 15), -4)

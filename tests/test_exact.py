@@ -1,4 +1,4 @@
-"""Scalar arithmetic, psi-nilpotents, and the factored text format."""
+"""Scalar arithmetic and the factored text format."""
 
 import math
 from fractions import Fraction
@@ -11,7 +11,6 @@ from multicover.exact import (
     AlphaMonomial,
     FactoredFormatError,
     FactoredRational,
-    PsiLinear,
     alpha_flip,
     factorize,
     format_factored,
@@ -88,30 +87,6 @@ def test_flip_odd_power_negates():
 def test_flip_is_homomorphism_and_involution(a, b):
     assert alpha_flip(alpha_flip(a)) == a
     assert alpha_flip(a * b) == alpha_flip(a) * alpha_flip(b)
-
-
-def test_flip_on_psi_linear():
-    x = PsiLinear(mono(1, 2), mono((1, 3), -1))
-    assert alpha_flip(x) == PsiLinear(mono(1, 2), mono((-1, 3), -1))
-    assert alpha_flip(alpha_flip(x)) == x
-
-
-# -- psi nilpotents ----------------------------------------------------------
-
-def test_psi_squares_to_zero():
-    p = PsiLinear(mono(0), mono(1, 0))
-    assert p * p == PsiLinear(mono(0), mono(0))
-    # a triple product with two psi parts keeps only the single-psi terms
-    x = PsiLinear(mono(2, 0), mono(3, 0))
-    assert x * x * PsiLinear(mono(1, 0)) == PsiLinear(mono(4, 0), mono(12, 0))
-
-
-def test_psi_linear_cross_terms():
-    x = PsiLinear(mono(2, 1), mono(3, 1))
-    y = PsiLinear(mono(5, 1), mono(7, 1))
-    out = x * y
-    assert out.const == mono(10, 2)
-    assert out.psi == mono(2 * 7 + 3 * 5, 2)
 
 
 # -- primes and factorization ------------------------------------------------
