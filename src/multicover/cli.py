@@ -99,16 +99,19 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if not 2 <= args.max_degree <= 9:
-        print("--max-degree must be between 2 and 9", file=sys.stderr)
-        return 2
     try:
         table = load_reference_table(args.table)
     except (OSError, FactoredFormatError) as exc:
         print(f"cannot load table: {exc}", file=sys.stderr)
         return 2
+    # up to the table's highest row, capped as compute is; 2..9 always
+    top = min(max([9, *table.rows]), DEFAULT_MAX_DEGREE)
+    max_degree = top if args.max_degree is None else args.max_degree
+    if not 2 <= max_degree <= top:
+        print(f"--max-degree must be between 2 and {top}", file=sys.stderr)
+        return 2
     status = 0
-    for d in range(2, args.max_degree + 1):
+    for d in range(2, max_degree + 1):
         if d not in table.rows:
             print(f"table has no row for d={d}", file=sys.stderr)
             return 2
@@ -141,7 +144,7 @@ def _build_parser() -> argparse.ArgumentParser:
     compute.set_defaults(func=_cmd_compute)
 
     verify = sub.add_parser("verify", help="check against the reference table")
-    verify.add_argument("--max-degree", type=int, default=9)
+    verify.add_argument("--max-degree", type=int, default=None)
     verify.add_argument("--table", default=None, help="alternative table file")
     verify.set_defaults(func=_cmd_verify)
 

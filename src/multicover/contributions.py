@@ -39,6 +39,7 @@ __all__ = [
     "end_contribution",
     "psi_integral",
     "step_factors",
+    "step_product",
     "node_smoothing",
 ]
 
@@ -247,6 +248,12 @@ def step_factors(kind: FixedMapKind) -> Tuple[Tuple[str, AlphaMonomial], ...]:
     if bundle.automorphism_scale != 1:
         factors.append(("automorphisms", AlphaMonomial(bundle.automorphism_scale)))
     return tuple(factors)
+
+
+@lru_cache(maxsize=None)
+def step_product(kind: FixedMapKind) -> AlphaMonomial:
+    """The product of :func:`step_factors`, one cached monomial per kind."""
+    return math.prod((factor for _, factor in step_factors(kind)), start=MONO_ONE)
 
 
 def node_smoothing(left_weight: Fraction, right_weight: Fraction) -> AlphaMonomial:

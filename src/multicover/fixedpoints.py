@@ -25,9 +25,9 @@ ends the chain.  Two pruning rules keep the list duplicate-free:
 
 * at ``P0``/``P1`` a ``MonoH`` with ``h == m (mod 2)`` is a limit of the
   family with ``k == (m+h)/2`` and is never emitted separately;
-* a successor whose attaching node has zero smoothing weight is the broken
-  limit of a family locus (the node deformation is the family direction),
-  so that branch is dropped -- its count lives in the family's integral.
+* a row whose attaching node has zero smoothing weight is the broken limit
+  of a family locus (the node deformation is the family direction), whose
+  integral counts it; only :func:`successors`, the one walker, drops it.
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ __all__ = [
     "source_tangent_weight",
     "base_tangent_weight",
     "transition",
+    "successors",
     "enumerate_chains",
     "enumerate_configurations",
 ]
@@ -335,18 +336,24 @@ def _step_candidates(contact: Contact, m: int) -> Iterator[FixedMapKind]:
             yield make_kind(contact, m, MonoK(k))
 
 
-def _extend(prefix: tuple, contact: Contact, m: int, prev_out: Fraction, out: list):
+def successors(contact: Contact, m: int, w: Fraction) -> Iterator[tuple]:
+    """Kept rows ``(kind, w_in, next_state)`` of a degree-m bubble met at
+    ``contact`` through a node whose far side has weight ``w``; ``next_state``
+    is ``(*transition(kind), -w_in)``, or None for an end map."""
     for kind in _step_candidates(contact, m):
         w_in = source_tangent_weight(kind, NodeEnd.NODE_IN)
-        if prev_out + w_in == 0:
-            # broken limit of a family locus; counted via the family integral
-            continue
-        steps = prefix + (kind,)
+        if w + w_in == 0:
+            continue  # broken limit of a family locus; see the module docstring
         nxt = transition(kind)
+        yield kind, w_in, None if nxt is None else (*nxt, -w_in)
+
+
+def _extend(prefix: tuple, state: tuple, out: list):
+    for kind, _, nxt in successors(*state):
         if nxt is None:
-            out.append(Chain(steps))
+            out.append(Chain(prefix + (kind,)))
         else:
-            _extend(steps, nxt[0], nxt[1], source_tangent_weight(kind, NodeEnd.NODE_OUT), out)
+            _extend(prefix + (kind,), nxt, out)
 
 
 def enumerate_chains(d: int) -> list:
@@ -355,7 +362,7 @@ def enumerate_chains(d: int) -> list:
     if d < 2:
         raise UnsupportedDegreeError(f"degree must be at least 2, got {d}")
     out: list = []
-    _extend((), Contact.P0, d, base_tangent_weight(d), out)
+    _extend((), (Contact.P0, d, base_tangent_weight(d)), out)
     out.sort(key=Chain._sort_key)
     return out
 

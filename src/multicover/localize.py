@@ -13,31 +13,32 @@ number -- and the invariant is their exact sum.  Because the factors are
 side-local, that sum equals base * S * flip(S) with S the one-sided sum,
 and because a step's factors depend only on its kind and the incoming
 node weight, S is a memoized sum over the (contact, degree, weight) states
-of the chain automaton: the default path, polynomial in d.  Chains are
-enumerated one by one only for the ``--breakdown`` traces and for the
-configuration-by-configuration cross-check.
+of the chain automaton, walked by :func:`fixedpoints.successors` with one
+cached :func:`contributions.step_product` per kind: the default path,
+polynomial in d.  Chains, each traced once, are enumerated one by one only
+for ``--breakdown`` and for the configuration-by-configuration cross-check.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import List, Tuple
 
-from .contributions import base_contribution, node_smoothing, step_factors
-from .exact import MONO_ZERO, AlphaMonomial, alpha_flip
+from .contributions import base_contribution, node_smoothing, step_factors, step_product
+from .exact import MONO_ONE, MONO_ZERO, AlphaMonomial, alpha_flip
 from .fixedpoints import (
     Chain,
     Configuration,
     Contact,
     NodeEnd,
     UnsupportedDegreeError,
-    _step_candidates,
     base_tangent_weight,
     enumerate_configurations,
     source_tangent_weight,
-    transition,
+    successors,
 )
 
 __all__ = [
@@ -69,57 +70,41 @@ class ConfigurationReport:
     total: AlphaMonomial
 
 
-def chain_factors(chain: Chain) -> List[Tuple[str, AlphaMonomial]]:
+@lru_cache(maxsize=None)
+def chain_factors(chain: Chain) -> Tuple[Tuple[str, AlphaMonomial], ...]:
     """Ordered multiplicative factors of one chain, in the 0-side frame.
 
     Labels: ``smooth[a->b]`` for node smoothings and ``step<i>.<label>``
     for the labels of :func:`step_factors`.
     """
     factors: List[Tuple[str, AlphaMonomial]] = []
-    prev_out = base_tangent_weight(chain.degree)
-    prev_name = "base"
+    w = base_tangent_weight(chain.degree)
     for i, step in enumerate(chain.steps, 1):
         w_in = source_tangent_weight(step, NodeEnd.NODE_IN)
-        factors.append((f"smooth[{prev_name}->{i}]", node_smoothing(prev_out, w_in)))
+        factors.append((f"smooth[{i - 1 or 'base'}->{i}]", node_smoothing(w, w_in)))
         factors.extend((f"step{i}.{label}", m) for label, m in step_factors(step))
-        if not step.is_end_bubble:
-            prev_out = source_tangent_weight(step, NodeEnd.NODE_OUT)
-            prev_name = str(i)
-    return factors
+        w = -w_in
+    return tuple(factors)
 
 
 @lru_cache(maxsize=None)
 def _state_sum(contact: Contact, m: int, w: Fraction) -> AlphaMonomial:
-    """Sum over the chain tails from a degree-m bubble met at ``contact``
-    through a node whose other side has tangent weight ``w``, pruned as in
-    :func:`enumerate_chains`."""
+    """Sum over the chain tails from the state ``(contact, m, w)``: each row
+    :func:`successors` keeps, times the sum from its next state."""
     total = MONO_ZERO
-    for kind in _step_candidates(contact, m):
-        w_in = source_tangent_weight(kind, NodeEnd.NODE_IN)
-        if w + w_in == 0:
-            continue
-        term = node_smoothing(w, w_in)
-        for _, factor in step_factors(kind):
-            term = term * factor
-        nxt = transition(kind)
-        if nxt is not None:
-            out = source_tangent_weight(kind, NodeEnd.NODE_OUT)
-            term = term * _state_sum(nxt[0], nxt[1], out)
-        total = total + term
+    for kind, w_in, nxt in successors(contact, m, w):
+        tail = MONO_ONE if nxt is None else _state_sum(*nxt)
+        total = total + node_smoothing(w, w_in) * step_product(kind) * tail
     return total
 
 
 def configuration_contribution(cfg: Configuration) -> ConfigurationReport:
     """Labeled factor trace and degree-zero total of one configuration."""
-    total = base_contribution(cfg.cover_degree)
-    trace: List[Tuple[str, AlphaMonomial]] = [("base", total)]
-    for label, mono in chain_factors(cfg.chain_zero):
-        trace.append((f"zero.{label}", mono))
-        total = total * mono
-    for label, mono in chain_factors(cfg.chain_infinity):
-        flipped = alpha_flip(mono)
-        trace.append((f"infinity.{label}", flipped))
-        total = total * flipped
+    trace = [("base", base_contribution(cfg.cover_degree))]
+    trace += ((f"zero.{label}", m) for label, m in chain_factors(cfg.chain_zero))
+    for label, m in chain_factors(cfg.chain_infinity):
+        trace.append((f"infinity.{label}", alpha_flip(m)))
+    total = math.prod((m for _, m in trace), start=MONO_ONE)
     if total.power != 0:
         lines = "\n".join(f"  {label} = {value}" for label, value in trace)
         raise DegreeZeroViolation(
@@ -155,7 +140,5 @@ def multiple_cover_invariant(d: int, *, method: str = "factored") -> Fraction:
         return total.coeff
     if method != "pairwise":
         raise ValueError(f"unknown method {method!r}")
-    total = Fraction(0)
-    for cfg in enumerate_configurations(d):
-        total += configuration_contribution(cfg).total.coeff
-    return total
+    configs = enumerate_configurations(d)
+    return sum(configuration_contribution(c).total.coeff for c in configs)

@@ -38,6 +38,8 @@ def report(number, ok, detail):
 def cold_caches():
     localize._state_sum.cache_clear()
     localize.step_factors.cache_clear()
+    localize.step_product.cache_clear()
+    localize.chain_factors.cache_clear()
 
 
 def best_time(fn, repeats=5):

@@ -1,12 +1,21 @@
 """Command-line surface: compute, verify, breakdown, table loading."""
 
+import hashlib
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
+from multicover import localize
 from multicover.cli import load_reference_table, main
 from multicover.exact import parse_factored
 from multicover.localize import multiple_cover_invariant
+
+# the engine's d = 10 value, as frozen for the benchmark
+FROZEN_D10 = (
+    "-(19^2*61^2*79377601^2*58524074773^2*70797734099^2)"
+    "/(2^69*5^57*7^2*11^2*23^2*29^2)"
+)
 
 
 def run(capsys, *argv):
@@ -112,6 +121,27 @@ def test_verify_range_check(capsys):
     assert "between 2 and 9" in err
 
 
+def test_verify_range_follows_table(tmp_path, capsys):
+    shipped = resources.files("multicover").joinpath("data/reference_table.txt")
+    table = tmp_path / "table.txt"
+    table.write_text(shipped.read_text(encoding="utf-8") + f"10\t{FROZEN_D10}\n")
+    code, out, _ = run(capsys, "verify", "--max-degree", "10", "--table", str(table))
+    assert code == 0
+    assert out.splitlines()[-1] == "d=10 PASS"
+    code, default_out, _ = run(capsys, "verify", "--table", str(table))
+    assert code == 0
+    assert default_out == out
+
+
+def test_verify_range_capped_like_compute(tmp_path, capsys):
+    table = tmp_path / "table.txt"
+    table.write_text("2\t-1/(2^3*5^2)\n13\t-1/(2^3*5^2)\n", encoding="utf-8")
+    code, out, err = run(capsys, "verify", "--max-degree", "13", "--table", str(table))
+    assert code == 2
+    assert out == ""
+    assert "between 2 and 12" in err
+
+
 def test_verify_missing_row(tmp_path, capsys):
     table = tmp_path / "table.txt"
     table.write_text("2\t-1/(2^3*5^2)\n", encoding="utf-8")
@@ -155,3 +185,40 @@ def test_shipped_table_shape():
     assert table.value(2) == Fraction(-1, 200)
     # comments and blank lines are ignored by the loader
     assert table.value(9).denominator % 3**96 == 0
+
+
+# sha256 of the stdout that refactors must keep byte-identical; change a
+# digest only together with an intended change of the printed output
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ("compute", "5", "--breakdown"),
+            "29b264a1a1e4174613930dd45875adba9962ce4d33b5f2e5d06bad33324a57ef",
+        ),
+        (
+            ("compute", "10", "--factored"),
+            "b31fe30a46d704205421d6bff41beaad0dfe544a45f94cdd56930726e019c8ae",
+        ),
+        (
+            ("compute", "2"),
+            "c82413c0c71aab56aec336b431d5ceb81072fb3c4bea33cc63e22db8dfe421fe",
+        ),
+        (
+            ("verify",),
+            "090f3c868e583a843c73546c2a8993f098f75ad503db7105ca184ae1d2af47e6",
+        ),
+    ],
+    ids=["breakdown5", "factored10", "plain2", "verify"],
+)
+def test_golden_stdout(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_state_count_at_degree_ten():
+    # the README's "146 states at degree 10"
+    localize._state_sum.cache_clear()
+    multiple_cover_invariant(10)
+    assert localize._state_sum.cache_info().currsize == 146

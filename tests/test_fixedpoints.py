@@ -22,6 +22,7 @@ from multicover.fixedpoints import (
     enumerate_configurations,
     make_kind,
     source_tangent_weight,
+    successors,
     transition,
     v4_weights,
 )
@@ -136,6 +137,28 @@ def test_transition_table(contact, shape, expected):
 def test_end_maps_have_no_transition():
     assert transition(kind(Contact.P0, 2, MonoH(1))) is None
     assert transition(kind(Contact.P0, 3, Family(1, 2))) is None
+
+
+def test_successors_prune_only_zero_smoothing_weight():
+    # a row is dropped exactly when its node weight cancels the incoming one,
+    # and the next state carries the row's outgoing weight
+    pruned = 0
+    for m in range(2, 9):
+        for contact in Contact:
+            rows = list(_step_candidates(contact, m))
+            w_ins = [source_tangent_weight(r, NodeEnd.NODE_IN) for r in rows]
+            for w in {F(-1, m), *(-w_in for w_in in w_ins)}:
+                kept = list(successors(contact, m, w))
+                expected = [(r, w_in) for r, w_in in zip(rows, w_ins) if w + w_in != 0]
+                assert [(fk, w_in) for fk, w_in, _ in kept] == expected
+                pruned += len(rows) - len(kept)
+                for fk, w_in, nxt in kept:
+                    if fk.is_end_bubble:
+                        assert nxt is None
+                    else:
+                        out = source_tangent_weight(fk, NodeEnd.NODE_OUT)
+                        assert nxt == (*transition(fk), out)
+    assert pruned > 0
 
 
 # -- kind validation -----------------------------------------------------------
