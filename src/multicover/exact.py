@@ -13,6 +13,8 @@ factorization needed to emit it.  No floating point anywhere.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -103,15 +105,16 @@ def alpha_flip(x):
 # integer factorization
 # ---------------------------------------------------------------------------
 
-def _small_primes(limit: int) -> list:
+def _sieve(limit: int) -> bytearray:
+    """Byte i is 1 exactly when i < limit is prime."""
     sieve = bytearray([1]) * limit
     sieve[0:2] = b"\x00\x00"
     for p in range(2, math.isqrt(limit) + 1):
         if sieve[p]:
             sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return [i for i in range(limit) if sieve[i]]
+    return sieve
 
-_TRIAL_PRIMES = _small_primes(10_000)
+_TRIAL_PRIMES = list(itertools.compress(range(10_000), _sieve(10_000)))
 
 # Smallest composite passing Miller-Rabin for the first 12 prime bases.
 _MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
@@ -146,34 +149,106 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _pollard_brent(n: int) -> int:
-    """Return a nontrivial factor of composite odd n (Brent's cycle variant)."""
+# Lenstra's elliptic-curve method on Montgomery curves B*y^2 = x^3 + A*x^2 + x
+# in x-only projective (X:Z) coordinates; a24 = (A + 2) / 4.
+
+def _xdbl(x: int, z: int, a24: int, n: int) -> tuple:
+    s, d = (x + z) ** 2 % n, (x - z) ** 2 % n
+    t = s - d
+    return s * d % n, t * (d + a24 * t) % n
+
+
+def _xadd(xp: int, zp: int, xq: int, zq: int, xd: int, zd: int, n: int) -> tuple:
+    """x(P + Q) from x(P), x(Q) and x(P - Q)."""
+    u, v = (xp - zp) * (xq + zq) % n, (xp + zp) * (xq - zq) % n
+    return zd * (u + v) ** 2 % n, xd * (u - v) ** 2 % n
+
+
+def _ladder(k: int, x: int, z: int, a24: int, n: int) -> tuple:
+    """x(k*P) for k >= 1 by the Montgomery ladder."""
+    r0, r1 = (x, z), _xdbl(x, z, a24, n)
+    for bit in bin(k)[3:]:
+        if bit == "1":
+            r0, r1 = _xadd(*r0, *r1, x, z, n), _xdbl(*r1, a24, n)
+        else:
+            r0, r1 = _xdbl(*r0, a24, n), _xadd(*r0, *r1, x, z, n)
+    return r0
+
+
+@functools.lru_cache(maxsize=None)
+def _stage1(b1: int) -> tuple:
+    """The largest powers <= b1 of the primes <= b1, ascending, and their
+    product."""
+    powers = []
+    for p in itertools.compress(range(b1 + 1), _sieve(b1 + 1)):
+        q = p
+        while q * p <= b1:
+            q *= p
+        powers.append(q)
+    return powers, math.prod(powers)
+
+
+_ECM_D = 210  # stage 2 giant-step width; baby steps are the j < D/2 prime to D
+
+
+def _stage2(x: int, z: int, a24: int, b1: int, n: int) -> int:
+    """Product of x(m*D*Q) - x(j*Q), cross-multiplied, over every q = m*D +- j
+    in (b1, 100*b1] with j prime to D: it shares a factor with n when some
+    such q (in particular, every prime there) kills Q modulo that factor."""
+    two = _xdbl(x, z, a24, n)
+    baby, prev, cur = [(x, z)], (x, z), _xadd(*two, x, z, x, z, n)
+    for j in range(3, _ECM_D // 2, 2):
+        if math.gcd(j, _ECM_D) == 1:
+            baby.append(cur)
+        prev, cur = cur, _xadd(*cur, *two, *prev, n)
+    step = _ladder(_ECM_D, x, z, a24, n)
+    m = b1 // _ECM_D
+    prev, cur = _ladder(m - 1, *step, a24, n), _ladder(m, *step, a24, n)
+    acc = 1
+    for _ in range(m, 100 * b1 // _ECM_D + 2):
+        for bx, bz in baby:
+            acc = acc * (cur[0] * bz - bx * cur[1]) % n
+        prev, cur = cur, _xadd(*cur, *step, *prev, n)
+    return acc
+
+
+def _ecm_bounds():
+    """Stage-1 bound B1 for each successive curve."""
+    for b1, curves in ((2000, 25), (11000, 90), (50000, 300), (250000, 700)):
+        yield from itertools.repeat(b1, curves)
+    yield from itertools.repeat(1_000_000)
+
+
+def _ecm(n: int) -> int:
+    """Return a nontrivial factor of n: composite, odd, not a perfect power.
+
+    Curves use Suyama's parametrization, so every group order is divisible
+    by 12, and for primes below ~24000 stage 1 kills the point modulo every
+    prime of n at once: the gcd is n itself.  Stage 1 is then replayed one
+    prime power at a time, which separates the primes unless their points
+    die at the same step; a curve that still gives n is dropped.
+    """
     rng = random.Random(n)  # deterministic per input
-    while True:
-        y = rng.randrange(1, n)
-        c = rng.randrange(1, n)
-        m = 128
-        g = r = q = 1
-        x = ys = y
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(m, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = math.gcd(q, n)
-                k += m
-            r *= 2
-        if g == n:
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
-        if g != n:
+    for b1 in _ecm_bounds():
+        sigma = rng.randrange(6, n - 1)
+        u, v = (sigma * sigma - 5) % n, 4 * sigma % n
+        x, z = pow(u, 3, n), pow(v, 3, n)
+        den = 16 * x * v % n
+        g = math.gcd(den, n)
+        if g == 1:
+            a24 = pow(v - u, 3, n) * (3 * u + v) * pow(den, -1, n) % n
+            powers, k = _stage1(b1)
+            xk, zk = _ladder(k, x, z, a24, n)
+            g = math.gcd(zk, n)
+            if g == 1:
+                g = math.gcd(_stage2(xk, zk, a24, b1, n), n)
+            elif g == n:
+                for q in powers:
+                    x, z = _ladder(q, x, z, a24, n)
+                    g = math.gcd(z, n)
+                    if g > 1:
+                        break
+        if 1 < g < n:
             return g
 
 
@@ -190,10 +265,18 @@ def _int_nth_root(n: int, e: int) -> int:
 
 
 def _perfect_power(n: int):
-    """Return (root, e) with root**e == n and e maximal (e == 1 if none)."""
-    for e in range(n.bit_length(), 1, -1):
+    """Return (root, e) with root**e == n and e prime (e == 1 if none).
+
+    Only prime exponents are tried: the caller factors the root, which
+    finds any further power.  n has no prime factor in ``_TRIAL_PRIMES``,
+    so e <= n.bit_length() / 13 and the trial primes hold every candidate
+    for n below ~130000 bits.
+    """
+    for e in _TRIAL_PRIMES:
+        if e > n.bit_length():
+            break
         root = _int_nth_root(n, e)
-        if root > 1 and root**e == n:
+        if root**e == n:
             return root, e
     return n, 1
 
@@ -211,7 +294,7 @@ def _factor_into(n: int, out: dict) -> None:
         for p, m in sub.items():
             out[p] = out.get(p, 0) + m * e
         return
-    d = _pollard_brent(n)
+    d = _ecm(n)
     _factor_into(d, out)
     _factor_into(n // d, out)
 
@@ -219,13 +302,14 @@ def _factor_into(n: int, out: dict) -> None:
 def factorize(n: int) -> list:
     """Prime factorization of n >= 1 as a sorted list of (prime, exponent).
 
-    Trial division by small primes first; larger cofactors are split with
-    perfect-power extraction and Pollard rho, with Miller-Rabin testing the
-    pieces.  Rho's cost grows with the square root of the second-largest
-    prime factor of a cofactor, so a large prime such as the d = 11
-    invariant's 180676454678820675709 (~1.8e20) is found, but semiprimes
-    with two large factors are out of scope.  Pieces above ~3.3e24 are
-    probable primes (Miller-Rabin with 25 fixed bases), not proven ones.
+    Trial division by primes below 10^4 first; larger cofactors are split
+    by perfect-power extraction and Lenstra's elliptic-curve method (ECM),
+    and Miller-Rabin tests every piece.  ECM's cost grows subexponentially
+    with the second-largest prime factor of a cofactor, not with its size:
+    the d = 11 invariant's 438938983141369 (~4.4e14) splits off in about a
+    second.  Pieces above ~3.3e24 are probable primes (Miller-Rabin with 25
+    fixed bases), not proven ones.  The result is deterministic: the curves
+    for a cofactor n are drawn from ``random.Random(n)``.
     """
     if n < 1:
         raise ValueError("factorize expects a positive integer")

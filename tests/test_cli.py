@@ -32,8 +32,16 @@ def test_compute_plain(capsys):
 
 @pytest.mark.parametrize(
     "degree, expected",
-    [(2, "-1/(2^3*5^2)"), (4, "-(3^6*7^2*233^2)/(2^44*11^2)")],
-    ids=["2", "4"],
+    [
+        (2, "-1/(2^3*5^2)"),
+        (4, "-(3^6*7^2*233^2)/(2^44*11^2)"),
+        (
+            11,
+            "-(17^2*438938983141369^2*180676454678820675709^2)"
+            "/(2^14*5^2*11^61*13^2*29^2*31^2)",
+        ),
+    ],
+    ids=["2", "4", "11"],
 )
 def test_compute_factored(capsys, degree, expected):
     code, out, _ = run(capsys, "compute", str(degree), "--factored")

@@ -1,6 +1,7 @@
 """Scalar arithmetic and the factored text format."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from multicover.exact import (
     is_prime,
     parse_factored,
 )
+from multicover.localize import multiple_cover_invariant
 
 F = Fraction
 
@@ -105,6 +107,53 @@ def test_factorize_large_square():
 def test_factorize_mixed():
     assert factorize(2**44 * 11**2) == [(2, 44), (11, 2)]
     assert factorize(1) == []
+
+
+def test_factorize_composite_powers():
+    p, q = 10007, 1000003
+    assert factorize(p**6 * q**6) == [(p, 6), (q, 6)]
+    assert factorize(3**35) == [(3, 35)]
+    assert factorize((2**61 - 1) ** 4) == [(2**61 - 1, 4)]
+
+
+# Suyama curves have group orders divisible by 12, so for primes below
+# ~24000 every curve finds all primes of n at once (gcd == n); the first two
+# inputs terminate only through the stage-1 replay.  65537*1000003 gives n
+# on most curves, and the last three are cofactors that the factored
+# output of N_8, N_10 and N_11 has to split.
+@pytest.mark.parametrize(
+    "primes",
+    [
+        {10007: 1, 10009: 1},
+        {10007: 1, 10009: 1, 10037: 1, 10039: 1, 10061: 1},
+        {65537: 1, 1000003: 1},
+        {11740987: 1, 49789008475889939: 1},
+        # numerator of N_10
+        {19: 2, 61: 2, 79377601: 2, 58524074773: 2, 70797734099: 2},
+        # numerator of N_11
+        {17: 2, 438938983141369: 2, 180676454678820675709: 2},
+    ],
+    ids=["10007*10009", "five-near-10^4", "65537*1000003", "d8-root", "d10", "d11"],
+)
+def test_factorize_terminates_exactly(primes):
+    assert factorize(math.prod(p**e for p, e in primes.items())) == sorted(primes.items())
+
+
+def test_factorize_matches_sympy_on_invariants():
+    sympy = pytest.importorskip("sympy")
+    for d in range(2, 14):
+        q = multiple_cover_invariant(d)
+        for n in (abs(q.numerator), q.denominator):
+            assert factorize(n) == sorted(sympy.factorint(n).items()), (d, n)
+
+
+def test_is_prime_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(2024)
+    sample = [rng.randrange(2, 2 ** rng.randrange(2, 81)) | 1 for _ in range(3000)]
+    assert sum(map(is_prime, sample)) > 100
+    for n in sample:
+        assert is_prime(n) == sympy.isprime(n), n
 
 
 # -- factored text format ----------------------------------------------------
