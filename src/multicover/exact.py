@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -116,6 +117,17 @@ def _sieve(limit: int) -> bytearray:
 
 _TRIAL_PRIMES = list(itertools.compress(range(10_000), _sieve(10_000)))
 
+
+def _segment(lo: int, hi: int) -> bytearray:
+    """Byte i is 1 exactly when lo + i is prime, for 2 <= lo < hi <= 10007**2
+    (a composite below 10007**2 has a prime factor in ``_TRIAL_PRIMES``)."""
+    seg = bytearray([1]) * (hi - lo)
+    for p in itertools.takewhile(lambda p: p * p < hi, _TRIAL_PRIMES):
+        start = max(p * p - lo, -lo % p)
+        seg[start::p] = bytes(len(range(start, hi - lo, p)))
+    return seg
+
+
 # Smallest composite passing Miller-Rabin for the first 12 prime bases.
 _MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -152,27 +164,46 @@ def is_prime(n: int) -> bool:
 # Lenstra's elliptic-curve method on Montgomery curves B*y^2 = x^3 + A*x^2 + x
 # in x-only projective (X:Z) coordinates; a24 = (A + 2) / 4.
 
-def _xdbl(x: int, z: int, a24: int, n: int) -> tuple:
-    s, d = (x + z) ** 2 % n, (x - z) ** 2 % n
-    t = s - d
-    return s * d % n, t * (d + a24 * t) % n
-
-
-def _xadd(xp: int, zp: int, xq: int, zq: int, xd: int, zd: int, n: int) -> tuple:
-    """x(P + Q) from x(P), x(Q) and x(P - Q)."""
-    u, v = (xp - zp) * (xq + zq) % n, (xp + zp) * (xq - zq) % n
-    return zd * (u + v) ** 2 % n, xd * (u - v) ** 2 % n
-
-
-def _ladder(k: int, x: int, z: int, a24: int, n: int) -> tuple:
-    """x(k*P) for k >= 1 by the Montgomery ladder."""
-    r0, r1 = (x, z), _xdbl(x, z, a24, n)
-    for bit in bin(k)[3:]:
+def _ladder(k: int, x: int, a24: int, n: int) -> tuple:
+    """(X:Z) of k*P for k >= 1 and P = (x:1), by the Montgomery ladder from
+    (R0, R1) = (O, P): a 0 bit makes it (2*R0, R0 + R1), a 1 bit (by a swap)
+    (R0 + R1, 2*R1), so R1 - R0 = P throughout."""
+    x0, z0, x1, z1 = 1, 0, x, 1
+    for bit in bin(k)[2:]:
         if bit == "1":
-            r0, r1 = _xadd(*r0, *r1, x, z, n), _xdbl(*r1, a24, n)
-        else:
-            r0, r1 = _xdbl(*r0, a24, n), _xadd(*r0, *r1, x, z, n)
-    return r0
+            x0, z0, x1, z1 = x1, z1, x0, z0
+        s, d = x0 + z0, x0 - z0
+        u, v = d * (x1 + z1) % n, s * (x1 - z1) % n
+        s, d = s * s % n, d * d % n
+        t = s - d
+        x0, z0, x1, z1 = s * d % n, t * (d + a24 * t) % n, (u + v) ** 2 % n, x * (u - v) ** 2 % n
+        if bit == "1":
+            x0, z0, x1, z1 = x1, z1, x0, z0
+    return x0, z0
+
+
+def _progression(p0: tuple, p1: tuple, step: tuple, n: int):
+    """Yield P0, P1, P1 + S, P1 + 2S, ... as (X, Z) pairs, given P1 = P0 + S:
+    each term is a differential addition of S and the last term."""
+    (x0, z0), (x1, z1), (xs, zs) = p0, p1, step
+    while True:
+        yield x0, z0
+        u, v = (x1 - z1) * (xs + zs) % n, (x1 + z1) * (xs - zs) % n
+        x0, z0, x1, z1 = x1, z1, z0 * (u + v) ** 2 % n, x0 * (u - v) ** 2 % n
+
+
+def _affine(points: list, n: int):
+    """X/Z mod n for every (X, Z) in points, with one inversion (Montgomery's
+    trick).  If some Z is not invertible, return instead the product of the
+    Zs, which shares a factor with n."""
+    before = list(itertools.accumulate((z for _, z in points), lambda a, z: a * z % n, initial=1))
+    if math.gcd(before[-1], n) > 1:
+        return before[-1]
+    inv, xs = pow(before.pop(), -1, n), []
+    for (x, z), b in zip(reversed(points), reversed(before)):
+        xs.append(x * b % n * inv % n)
+        inv = inv * z % n
+    return xs[::-1]
 
 
 @functools.lru_cache(maxsize=None)
@@ -188,27 +219,34 @@ def _stage1(b1: int) -> tuple:
     return powers, math.prod(powers)
 
 
-_ECM_D = 210  # stage 2 giant-step width; baby steps are the j < D/2 prime to D
+_ECM_D = 2310  # stage-2 giant-step width 2*3*5*7*11; baby steps are odd j < D/2
+_ECM_BLOCK = 400  # giant steps made affine and sieved at once (~0.9 MB segment)
 
 
-def _stage2(x: int, z: int, a24: int, b1: int, n: int) -> int:
-    """Product of x(m*D*Q) - x(j*Q), cross-multiplied, over every q = m*D +- j
-    in (b1, 100*b1] with j prime to D: it shares a factor with n when some
-    such q (in particular, every prime there) kills Q modulo that factor."""
-    two = _xdbl(x, z, a24, n)
-    baby, prev, cur = [(x, z)], (x, z), _xadd(*two, x, z, x, z, n)
-    for j in range(3, _ECM_D // 2, 2):
-        if math.gcd(j, _ECM_D) == 1:
-            baby.append(cur)
-        prev, cur = cur, _xadd(*cur, *two, *prev, n)
-    step = _ladder(_ECM_D, x, z, a24, n)
-    m = b1 // _ECM_D
-    prev, cur = _ladder(m - 1, *step, a24, n), _ladder(m, *step, a24, n)
+def _stage2(x: int, a24: int, b1: int, n: int) -> int:
+    """Product of x(m*D*Q) - x(j*Q) over giant steps m >= 1 and odd j < D/2
+    with m*D + j or m*D - j prime, for Q = (x:1) and b1 >= D/2: it shares a
+    factor with n when a prime q in (b1, 100*b1] kills Q modulo that factor.
+    Both points are affine, so a pair of primes costs one product.  A Z that
+    cannot be inverted is returned at once: it is a multiple of a factor."""
+    half = _ECM_D // 2
+    babies = _progression((x, 1), _ladder(3, x, a24, n), _ladder(2, x, a24, n), n)
+    baby = _affine([*itertools.islice(babies, half // 2), _ladder(_ECM_D, x, a24, n)], n)
+    if isinstance(baby, int):
+        return baby
+    step, m0, top = baby.pop(), max(b1 // _ECM_D, 1), 100 * b1 // _ECM_D + 2
+    giants = _progression(_ladder(m0, step, a24, n), _ladder(m0 + 1, step, a24, n), (step, 1), n)
     acc = 1
-    for _ in range(m, 100 * b1 // _ECM_D + 2):
-        for bx, bz in baby:
-            acc = acc * (cur[0] * bz - bx * cur[1]) % n
-        prev, cur = cur, _xadd(*cur, *step, *prev, n)
+    for block in range(m0, top, _ECM_BLOCK):
+        ms = range(block, min(block + _ECM_BLOCK, top))
+        xs = _affine(list(itertools.islice(giants, len(ms))), n)
+        if isinstance(xs, int):
+            return xs
+        seg = _segment(ms[0] * _ECM_D - half, ms[-1] * _ECM_D + half)
+        for c, gx in zip(itertools.count(half, _ECM_D), xs):  # seg[c] is m*D
+            pairs = map(operator.or_, seg[c + 1 : c + half : 2], seg[c - 1 : c - half : -2])
+            for bx in itertools.compress(baby, pairs):
+                acc = acc * (gx - bx) % n
     return acc
 
 
@@ -233,21 +271,24 @@ def _ecm(n: int) -> int:
         sigma = rng.randrange(6, n - 1)
         u, v = (sigma * sigma - 5) % n, 4 * sigma % n
         x, z = pow(u, 3, n), pow(v, 3, n)
-        den = 16 * x * v % n
+        den = 16 * x * v * z % n  # 16 u^3 v^4: one inversion for a24 and x
         g = math.gcd(den, n)
         if g == 1:
-            a24 = pow(v - u, 3, n) * (3 * u + v) * pow(den, -1, n) % n
+            inv = pow(den, -1, n)
+            a24 = pow(v - u, 3, n) * (3 * u + v) * z * inv % n
+            x = 16 * x * x * v * inv % n  # u^3 / v^3
             powers, k = _stage1(b1)
-            xk, zk = _ladder(k, x, z, a24, n)
+            xk, zk = _ladder(k, x, a24, n)
             g = math.gcd(zk, n)
             if g == 1:
-                g = math.gcd(_stage2(xk, zk, a24, b1, n), n)
+                g = math.gcd(_stage2(xk * pow(zk, -1, n) % n, a24, b1, n), n)
             elif g == n:
                 for q in powers:
-                    x, z = _ladder(q, x, z, a24, n)
-                    g = math.gcd(z, n)
+                    xk, zk = _ladder(q, x, a24, n)
+                    g = math.gcd(zk, n)
                     if g > 1:
                         break
+                    x = xk * pow(zk, -1, n) % n
         if 1 < g < n:
             return g
 
@@ -304,12 +345,14 @@ def factorize(n: int) -> list:
 
     Trial division by primes below 10^4 first; larger cofactors are split
     by perfect-power extraction and Lenstra's elliptic-curve method (ECM),
-    and Miller-Rabin tests every piece.  ECM's cost grows subexponentially
-    with the second-largest prime factor of a cofactor, not with its size:
-    the d = 11 invariant's 438938983141369 (~4.4e14) splits off in about a
-    second.  Pieces above ~3.3e24 are probable primes (Miller-Rabin with 25
-    fixed bases), not proven ones.  The result is deterministic: the curves
-    for a cofactor n are drawn from ``random.Random(n)``.
+    and Miller-Rabin tests every piece.  An ECM curve runs stage 1 to B1,
+    then a stage 2 that pairs the primes in (B1, 100*B1] as m*2310 +- j at
+    one product per pair.  ECM's cost grows subexponentially with the
+    second-largest prime factor of a cofactor, not with its size: the
+    d = 11 invariant's 438938983141369 (~4.4e14) splits off in about 0.6 s.
+    Pieces above ~3.3e24 are probable primes (Miller-Rabin with 25 fixed
+    bases), not proven ones.  The result is deterministic: the curves for a
+    cofactor n are drawn from ``random.Random(n)``.
     """
     if n < 1:
         raise ValueError("factorize expects a positive integer")

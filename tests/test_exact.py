@@ -1,5 +1,6 @@
 """Scalar arithmetic and the factored text format."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from multicover import exact
 from multicover.exact import (
     AlphaMonomial,
     FactoredFormatError,
@@ -137,6 +139,47 @@ def test_factorize_composite_powers():
 )
 def test_factorize_terminates_exactly(primes):
     assert factorize(math.prod(p**e for p, e in primes.items())) == sorted(primes.items())
+
+
+def test_segment_sieve_is_exact_across_its_range():
+    reference = exact._sieve(200_000)
+    for lo, hi in [(2, 120_000), (30_000, 200_000)] + [
+        (p * p - 40, p * p + 40) for p in (7, 11, 97, 443)
+    ]:
+        assert exact._segment(lo, hi) == reference[lo:hi], (lo, hi)
+    # Stage 2 sieves below 100*B1 + 2*D: its last giant step m*D is below
+    # 100*B1 + D and its baby steps reach D/2 past it.  The sieve by
+    # _TRIAL_PRIMES is exact only below 10007**2.
+    b1 = max(itertools.islice(exact._ecm_bounds(), 10_000))
+    assert 100 * b1 + exact._ECM_D // 2 < 10007**2
+    top = 100 * b1 + 2 * exact._ECM_D
+    assert top <= 10007**2
+    window = exact._segment(top - 30_000, top)
+    assert list(window) == [is_prime(q) for q in range(top - 30_000, top)]
+
+
+def test_affine_inverts_every_z_with_one_inversion():
+    p, q = 1000003, 49789008475889939
+    n = p * q
+    rng = random.Random(3)
+    points = [(rng.randrange(n), rng.randrange(1, p) * rng.randrange(1, q)) for _ in range(40)]
+    assert exact._affine(points, n) == [x * pow(z, -1, n) % n for x, z in points]
+    points[17] = (points[17][0], 5 * p)
+    assert math.gcd(exact._affine(points, n), n) % p == 0
+
+
+# The first curve _ecm draws for this n (sigma = 363585633832183180715 from
+# random.Random(n)) at B1 = 2000 finds no factor in stage 1 and STAGE2_P in
+# stage 2.
+STAGE2_N = 10189369859 * 821626242989
+STAGE2_P = 10189369859
+
+
+def test_stage2_finds_what_stage1_misses(monkeypatch):
+    monkeypatch.setattr(exact, "_ecm_bounds", lambda: iter([2000]))
+    assert exact._ecm(STAGE2_N) == STAGE2_P
+    monkeypatch.setattr(exact, "_stage2", lambda *args: 1)
+    assert exact._ecm(STAGE2_N) is None
 
 
 def test_factorize_matches_sympy_on_invariants():
