@@ -5,25 +5,29 @@
 the shipped reference table row by row.
 
 Exit codes: 0 success / all rows pass, 1 verification mismatch, 2 usage
-error.
+error, 141 standard output closed before the output was complete (the
+status a shell gives a process ended by SIGPIPE).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from typing import Dict, Optional
 
+from .contributions import base_contribution
 from .exact import FactoredFormatError, FactoredRational, _parse_int, format_factored
 from .fixedpoints import UnsupportedDegreeError, enumerate_configurations
-from .localize import configuration_contribution, multiple_cover_invariant
+from .localize import _side_record, configuration_contribution, multiple_cover_invariant
 
 __all__ = ["ReferenceTable", "load_reference_table", "main"]
 
 DEFAULT_MAX_DEGREE = 12
+CLOSED_STDOUT = 141  # 128 + SIGPIPE, as a shell reports a process it killed
 
 
 @dataclass(frozen=True)
@@ -67,15 +71,32 @@ def load_reference_table(path: Optional[str] = None) -> ReferenceTable:
 
 
 def _print_breakdown(d: int, out) -> Fraction:
+    """Write one record per configuration, one write each; a chain's
+    description and its factor lines on each side are rendered once."""
+    base = f"factor.base={base_contribution(d)}\n"
+    rendered: dict = {}
     total = Fraction(0)
     for cfg in enumerate_configurations(d):
-        report = configuration_contribution(cfg)
-        out.write(f"config={cfg.describe()}\n")
-        for label, value in report.per_factor_trace:
-            out.write(f"factor.{label}={value}\n")
-        out.write(f"total={report.total.coeff}\n\n")
-        total += report.total.coeff
+        coeff = configuration_contribution(cfg).total.coeff
+        for chain in (cfg.chain_zero, cfg.chain_infinity):
+            if chain not in rendered:
+                rendered[chain] = _render(chain)
+        zero, infinity = rendered[cfg.chain_zero], rendered[cfg.chain_infinity]
+        out.write(  # the config= line is cfg.describe(), from the cached names
+            f"config=zero:[{zero[0]}] infinity:[{infinity[0]}]\n"
+            f"{base}{zero[1]}{infinity[2]}total={coeff}\n\n"
+        )
+        total += coeff
     return total
+
+
+def _render(chain) -> tuple:
+    """A chain's description, then its factor lines on the zero side and on
+    the infinity side."""
+    return chain.describe(), *(
+        "".join(f"factor.{label}={value}\n" for label, value in _side_record(chain, side)[0])
+        for side in ("zero", "infinity")
+    )
 
 
 def _cmd_compute(args) -> int:
@@ -152,12 +173,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if sys.stdout is None:  # started with descriptor 1 closed
+        sys.stdout = open(os.devnull, "w", encoding="utf-8")
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
     except UnsupportedDegreeError as exc:
         print(str(exc), file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader went away (``| head``); send what is still buffered to
+        # devnull so the interpreter's last flush does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return CLOSED_STDOUT
 
 
 if __name__ == "__main__":

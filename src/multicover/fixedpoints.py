@@ -285,6 +285,15 @@ class Chain:
                 raise ValueError("only the last step may be an end bubble")
         if not steps[-1].is_end_bubble:
             raise ValueError("the last step must be an end bubble")
+        # chains key the per-side caches, and hashing the steps anew costs a
+        # dozen Python-level calls; a copy or an unpickled chain hashes again
+        object.__setattr__(self, "_hash", hash(steps))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return Chain, (self.steps,)
 
     @property
     def degree(self) -> int:

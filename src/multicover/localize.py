@@ -15,8 +15,11 @@ and because a step's factors depend only on its kind and the incoming
 node weight, S is a memoized sum over the (contact, degree, weight) states
 of the chain automaton, walked by :func:`fixedpoints.successors` with one
 cached :func:`contributions.step_product` per kind: the default path,
-polynomial in d.  Chains, each traced once, are enumerated one by one only
-for ``--breakdown`` and for the configuration-by-configuration cross-check.
+polynomial in d.  Chains are enumerated one by one only for ``--breakdown``
+and for the configuration-by-configuration cross-check.  Each chain is
+traced and multiplied once per side, from :func:`chain_factors` and not
+from ``step_product``, so the cross-check shares no product with the state
+sum; a configuration then costs two products, base times the two sides.
 """
 
 from __future__ import annotations
@@ -70,7 +73,6 @@ class ConfigurationReport:
     total: AlphaMonomial
 
 
-@lru_cache(maxsize=None)
 def chain_factors(chain: Chain) -> Tuple[Tuple[str, AlphaMonomial], ...]:
     """Ordered multiplicative factors of one chain, in the 0-side frame.
 
@@ -98,19 +100,37 @@ def _state_sum(contact: Contact, m: int, w: Fraction) -> AlphaMonomial:
     return total
 
 
+@lru_cache(maxsize=None)
+def _base_factor(d: int) -> AlphaMonomial:
+    """:func:`base_contribution`, computed once per degree."""
+    return base_contribution(d)
+
+
+@lru_cache(maxsize=None)
+def _side_record(chain: Chain, side: str) -> tuple:
+    """``(trace, product)`` of one chain on one side: the labelled
+    :func:`chain_factors` prefixed ``zero.``/``infinity.`` (the infinity
+    side flipped a -> -a), and their product."""
+    trace = tuple(
+        (f"{side}.{label}", alpha_flip(m) if side == "infinity" else m)
+        for label, m in chain_factors(chain)
+    )
+    return trace, math.prod((m for _, m in trace), start=MONO_ONE)
+
+
 def configuration_contribution(cfg: Configuration) -> ConfigurationReport:
     """Labeled factor trace and degree-zero total of one configuration."""
-    trace = [("base", base_contribution(cfg.cover_degree))]
-    trace += ((f"zero.{label}", m) for label, m in chain_factors(cfg.chain_zero))
-    for label, m in chain_factors(cfg.chain_infinity):
-        trace.append((f"infinity.{label}", alpha_flip(m)))
-    total = math.prod((m for _, m in trace), start=MONO_ONE)
+    zero_trace, zero_product = _side_record(cfg.chain_zero, "zero")
+    infinity_trace, infinity_product = _side_record(cfg.chain_infinity, "infinity")
+    base = _base_factor(cfg.cover_degree)
+    trace = (("base", base),) + zero_trace + infinity_trace
+    total = base * zero_product * infinity_product
     if total.power != 0:
         lines = "\n".join(f"  {label} = {value}" for label, value in trace)
         raise DegreeZeroViolation(
             f"configuration {cfg.describe()} has total {total}; trace:\n{lines}"
         )
-    return ConfigurationReport(cfg, tuple(trace), total)
+    return ConfigurationReport(cfg, trace, total)
 
 
 def side_sum(d: int, side: str) -> AlphaMonomial:

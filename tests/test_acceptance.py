@@ -39,7 +39,8 @@ def cold_caches():
     localize._state_sum.cache_clear()
     localize.step_factors.cache_clear()
     localize.step_product.cache_clear()
-    localize.chain_factors.cache_clear()
+    localize._side_record.cache_clear()
+    localize._base_factor.cache_clear()
 
 
 def best_time(fn, repeats=5):

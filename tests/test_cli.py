@@ -1,13 +1,19 @@
 """Command-line surface: compute, verify, breakdown, table loading."""
 
 import hashlib
+import io
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
+import multicover
 from multicover import localize
-from multicover.cli import load_reference_table, main
+from multicover.cli import _print_breakdown, load_reference_table, main
 from multicover.exact import parse_factored
 from multicover.localize import multiple_cover_invariant
 
@@ -205,6 +211,10 @@ def test_shipped_table_shape():
             "29b264a1a1e4174613930dd45875adba9962ce4d33b5f2e5d06bad33324a57ef",
         ),
         (
+            ("compute", "6", "--breakdown"),
+            "9d07c313ba3d37cdb8473858c3c36778abce4b224726dff8d9e6e8bcbfc6017b",
+        ),
+        (
             ("compute", "10", "--factored"),
             "b31fe30a46d704205421d6bff41beaad0dfe544a45f94cdd56930726e019c8ae",
         ),
@@ -217,7 +227,7 @@ def test_shipped_table_shape():
             "090f3c868e583a843c73546c2a8993f098f75ad503db7105ca184ae1d2af47e6",
         ),
     ],
-    ids=["breakdown5", "factored10", "plain2", "verify"],
+    ids=["breakdown5", "breakdown6", "factored10", "plain2", "verify"],
 )
 def test_golden_stdout(capsys, argv, digest):
     code, out, _ = run(capsys, *argv)
@@ -230,3 +240,44 @@ def test_state_count_at_degree_ten():
     localize._state_sum.cache_clear()
     multiple_cover_invariant(10)
     assert localize._state_sum.cache_info().currsize == 146
+
+
+def test_side_records_at_degree_five():
+    # 37 chains per side at degree 5: each is traced and multiplied once per
+    # side, not once per configuration it takes part in
+    localize._side_record.cache_clear()
+    _print_breakdown(5, io.StringIO())
+    assert localize._side_record.cache_info().misses == 2 * 37
+
+
+CLI = [sys.executable, "-m", "multicover.cli"]
+CLI_ENV = dict(os.environ, PYTHONPATH=str(Path(multicover.__file__).resolve().parents[1]))
+
+
+def test_closed_stdout_ends_quietly():
+    # the reader keeps one line and closes the pipe, as ``| head -1`` does;
+    # the degree-6 breakdown (12 MB) is far larger than any pipe buffer
+    child = subprocess.Popen(
+        [*CLI, "compute", "6", "--breakdown"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=CLI_ENV,
+    )
+    assert child.stdout.readline().startswith(b"config=")
+    child.stdout.close()
+    err = child.stderr.read()
+    child.stderr.close()
+    assert child.wait(timeout=120) == 141
+    assert err == b""
+
+
+def test_stdout_closed_at_start_is_discarded():
+    # ``multicover compute 2 --breakdown >&-``: descriptor 1 is closed
+    done = subprocess.run(
+        [*CLI, "compute", "2", "--breakdown"],
+        stderr=subprocess.PIPE,
+        env=CLI_ENV,
+        preexec_fn=lambda: os.close(1),
+        timeout=120,
+    )
+    assert (done.returncode, done.stderr) == (0, b"")

@@ -182,6 +182,27 @@ def test_stage2_finds_what_stage1_misses(monkeypatch):
     assert exact._ecm(STAGE2_N) is None
 
 
+def test_stage2_is_the_product_over_prime_pairs():
+    # every pair m*D +- j holding a prime, each baby step by its own ladder
+    n, b1, d = STAGE2_N, 2000, exact._ECM_D
+    rng = random.Random(5)
+    x, a24 = rng.randrange(n), rng.randrange(n)
+
+    def affine(k, px):
+        xk, zk = exact._ladder(k, px, a24, n)
+        return xk * pow(zk, -1, n) % n
+
+    baby = {j: affine(j, x) for j in range(1, d // 2, 2)}
+    step, expected = affine(d, x), 1
+    for m in range(max(b1 // d, 1), 100 * b1 // d + 2):
+        gx = affine(m, step)
+        for j, bx in baby.items():
+            if is_prime(m * d + j) or is_prime(m * d - j):
+                expected = expected * (gx - bx) % n
+    assert len(exact._ECM_BABY_J) == 240
+    assert exact._stage2(x, a24, b1, n) == expected
+
+
 def test_factorize_matches_sympy_on_invariants():
     sympy = pytest.importorskip("sympy")
     for d in range(2, 14):

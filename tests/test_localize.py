@@ -182,6 +182,28 @@ def test_nonzero_invariant_power_rejected(monkeypatch):
         multiple_cover_invariant(2)
 
 
+def test_nonzero_side_power_names_configuration(monkeypatch):
+    side_record = localize._side_record
+    bump = mono(1, 1)
+
+    def skewed(chain, side):
+        trace, total = side_record(chain, side)
+        if side == "infinity":
+            return trace + (("infinity.bump", bump),), total * bump
+        return trace, total
+
+    monkeypatch.setattr(localize, "_side_record", skewed)
+    cfg = enumerate_configurations(3)[5]
+    with pytest.raises(DegreeZeroViolation) as excinfo:
+        configuration_contribution(cfg)
+    message = str(excinfo.value)
+    assert f"configuration {cfg.describe()} has total" in message
+    assert "*a^1; trace:" in message
+    assert "  base = " in message
+    assert "  zero.smooth[base->1] = " in message
+    assert message.endswith("  infinity.bump = 1*a^1")
+
+
 def test_side_sum_validates_side():
     with pytest.raises(ValueError):
         side_sum(2, "above")
