@@ -5,8 +5,9 @@
 the shipped reference table row by row.
 
 Exit codes: 0 success / all rows pass, 1 verification mismatch, 2 usage
-error, 141 standard output closed before the output was complete (the
-status a shell gives a process ended by SIGPIPE).
+error, 74 standard output could not be written (``EX_IOERR``, for example
+a full disk), 141 standard output closed before the output was complete
+(the status a shell gives a process ended by SIGPIPE).
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ from .localize import _side_record, configuration_contribution, multiple_cover_i
 __all__ = ["ReferenceTable", "load_reference_table", "main"]
 
 DEFAULT_MAX_DEGREE = 12
+MAX_BREAKDOWN_DEGREE = 8  # 697225 records; each degree multiplies them by about 8
+WRITE_ERROR = 74  # EX_IOERR of sysexits.h
 CLOSED_STDOUT = 141  # 128 + SIGPIPE, as a shell reports a process it killed
 
 
@@ -107,6 +110,9 @@ def _cmd_compute(args) -> int:
             file=sys.stderr,
         )
         return 2
+    if args.breakdown and d > MAX_BREAKDOWN_DEGREE:
+        print(f"--breakdown is limited to degree at most {MAX_BREAKDOWN_DEGREE}", file=sys.stderr)
+        return 2
     if args.breakdown:
         total = _print_breakdown(d, sys.stdout)
         value = multiple_cover_invariant(d)
@@ -183,11 +189,15 @@ def main(argv=None) -> int:
     except UnsupportedDegreeError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    except BrokenPipeError:
-        # the reader went away (``| head``); send what is still buffered to
-        # devnull so the interpreter's last flush does not fail again
+    except OSError as exc:
+        # the reader went away (``| head``) or the write failed; send what is
+        # still buffered to devnull so the interpreter's last flush does not
+        # fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return CLOSED_STDOUT
+        if isinstance(exc, BrokenPipeError):
+            return CLOSED_STDOUT
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return WRITE_ERROR
 
 
 if __name__ == "__main__":

@@ -19,15 +19,21 @@ occur and where the chain goes next:
 * ``MonoH(h)``: only the unit-below slot filled.
 * ``MonoK(k)``: only the level slot filled.
 
-A map ramified at its far point (outgoing exponent >= 2) forces another
-blow-up, so the chain continues with a bubble of that degree; exponent 1
-ends the chain.  Two pruning rules keep the list duplicate-free:
+A map ramified at its far point (outgoing exponent e >= 2) forces another
+blow-up, so the chain continues with a bubble of degree e; e == 1 ends the
+chain.  The whole row model is one table and one rule:
 
-* at ``P0``/``P1`` a ``MonoH`` with ``h == m (mod 2)`` is a limit of the
-  family with ``k == (m+h)/2`` and is never emitted separately;
-* a row whose attaching node has zero smoothing weight is the broken limit
-  of a family locus (the node deformation is the family direction), whose
-  integral counts it; only :func:`successors`, the one walker, drops it.
+* ``_ROWS``, keyed by (contact, shape type), gives the next bubble's
+  contact (the chain automaton) and the numerator n of the source action
+  speed n / (m - e) of a degree-m bubble;
+* ``_row_refusal`` says why (contact, m, shape) is not a row, or None; it
+  validates kinds, and ``_step_candidates`` lists the shapes it admits.
+  At ``P0``/``P1`` it refuses a ``MonoH`` with ``h == m (mod 2)`` (a limit
+  of the family with ``k == (m+h)/2``) and, unless m == 2, ``MonoK(1)``.
+
+A row whose attaching node has zero smoothing weight is the broken limit
+of a family locus (the node deformation is the family direction), whose
+integral counts it; only :func:`successors`, the one walker, drops it.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterator, Optional, Tuple, Union
 
 __all__ = [
@@ -100,6 +107,44 @@ class NodeEnd(enum.Enum):
     NODE_OUT = "out"  # the node toward the next bubble (absent on end maps)
 
 
+# (contact, shape type) -> (next bubble's contact, numerator n of the source
+# action speed n / (m - e), e the outgoing exponent of a degree-m bubble)
+_ROWS = {
+    (Contact.P0, Family): (Contact.P1, 2),
+    (Contact.P1, Family): (Contact.P0, -2),
+    (Contact.P0, MonoH): (Contact.P1, 2),
+    (Contact.P1, MonoH): (Contact.P0, -2),
+    (Contact.P2, MonoH): (Contact.P0, -1),
+    (Contact.P0, MonoK): (Contact.P2, 1),
+    (Contact.P1, MonoK): (Contact.P2, -1),
+    (Contact.P2, MonoK): (Contact.P1, 1),
+}
+
+
+def _row_refusal(contact: Contact, d: int, s: Shape) -> Optional[str]:
+    """Why ``(contact, d, s)`` is not a fixed-map row, or None if it is one."""
+    if d < 2:
+        return f"bubble map degree {d} must be >= 2"
+    if isinstance(s, Family):
+        if contact is Contact.P2:
+            return "no fixed family exists at a P2 contact"
+        if not (1 <= s.h and s.k <= d - 1 and d + s.h == 2 * s.k):
+            return f"family exponents (d={d}, h={s.h}, k={s.k})"
+    elif isinstance(s, MonoH):
+        if not 1 <= s.h <= d - 1:
+            return f"exponent h={s.h} out of range for d={d}"
+        if contact is not Contact.P2 and s.h % 2 == d % 2:
+            return f"MonoH with h = d (mod 2) at {contact.name} belongs to the family locus"
+    elif isinstance(s, MonoK):
+        if not 1 <= s.k <= d - 1:
+            return f"exponent k={s.k} out of range for d={d}"
+        if s.k == 1 and contact is not Contact.P2 and d != 2:
+            return f"MonoK(k=1) at {contact.name} is only a fixed-locus row for degree 2"
+    else:
+        return f"unknown shape {s!r}"
+    return None
+
+
 @dataclass(frozen=True)
 class FixedMapKind:
     """One bubble component's fixed map: contact label, degree and shape."""
@@ -107,42 +152,11 @@ class FixedMapKind:
     contact: Contact
     degree: int
     shape: Shape
-    is_end_bubble: bool
 
     def __post_init__(self):
-        d, s = self.degree, self.shape
-        if d < 2:
-            raise InvalidKindError(f"bubble map degree {d} must be >= 2")
-        if isinstance(s, Family):
-            if self.contact is Contact.P2:
-                raise InvalidKindError("no fixed family exists at a P2 contact")
-            if not (1 <= s.h and s.k <= d - 1 and d + s.h == 2 * s.k):
-                raise InvalidKindError(f"family exponents (d={d}, h={s.h}, k={s.k})")
-            end = s.h == 1
-        elif isinstance(s, MonoH):
-            if not 1 <= s.h <= d - 1:
-                raise InvalidKindError(f"exponent h={s.h} out of range for d={d}")
-            if self.contact is not Contact.P2 and s.h % 2 == d % 2:
-                raise InvalidKindError(
-                    f"MonoH with h = d (mod 2) at {self.contact.name} belongs to"
-                    " the family locus"
-                )
-            end = s.h == 1
-        elif isinstance(s, MonoK):
-            if not 1 <= s.k <= d - 1:
-                raise InvalidKindError(f"exponent k={s.k} out of range for d={d}")
-            if s.k == 1 and self.contact is not Contact.P2 and d != 2:
-                raise InvalidKindError(
-                    f"MonoK(k=1) at {self.contact.name} is only a fixed-locus row"
-                    " for degree 2"
-                )
-            end = s.k == 1
-        else:
-            raise InvalidKindError(f"unknown shape {s!r}")
-        if self.is_end_bubble != end:
-            raise InvalidKindError(
-                f"is_end_bubble={self.is_end_bubble} inconsistent with shape {s!r}"
-            )
+        refusal = _row_refusal(self.contact, self.degree, self.shape)
+        if refusal is not None:
+            raise InvalidKindError(refusal)
 
     @property
     def outgoing_exponent(self) -> int:
@@ -150,26 +164,22 @@ class FixedMapKind:
         s = self.shape
         return s.k if isinstance(s, MonoK) else s.h
 
+    @property
+    def is_end_bubble(self) -> bool:
+        """A map unramified at its far point ends the chain."""
+        return self.outgoing_exponent == 1
+
     def _sort_key(self) -> tuple:
         shape_rank = {Family: 0, MonoH: 1, MonoK: 2}[type(self.shape)]
         return (self.contact.value, shape_rank, self.degree, self.outgoing_exponent)
 
     def describe(self) -> str:
-        s = self.shape
-        if isinstance(s, Family):
-            body = f"Family(h={s.h},k={s.k})"
-        elif isinstance(s, MonoH):
-            body = f"MonoH(h={s.h})"
-        else:
-            body = f"MonoK(k={s.k})"
+        body = repr(self.shape).replace(" ", "")  # Family(h=1,k=2), MonoK(k=2), ...
         tag = "end" if self.is_end_bubble else "ruled"
         return f"{self.contact.name}:d={self.degree}:{body}:{tag}"
 
 
-def make_kind(contact: Contact, degree: int, shape: Shape) -> FixedMapKind:
-    """Build a kind with the end flag inferred from the shape."""
-    exp = shape.k if isinstance(shape, MonoK) else shape.h
-    return FixedMapKind(contact, degree, shape, exp == 1)
+make_kind = FixedMapKind
 
 
 def v4_weights(kind: FixedMapKind) -> Tuple[Fraction, Fraction, Fraction, Fraction]:
@@ -200,24 +210,10 @@ def v4_weights(kind: FixedMapKind) -> Tuple[Fraction, Fraction, Fraction, Fracti
 
 
 def _action_speed(kind: FixedMapKind) -> Fraction:
-    """Speed c of the induced source action [x;y] -> [t^(-c) x; y].
-
-    Derived from equivariance of the monomial map against the bubble's
-    weight pattern; the sign flips on the rows whose contact sits at the
-    unit-below or (for MonoH) level coordinate.
-    """
-    d, s, c = kind.degree, kind.shape, kind.contact
-    if isinstance(s, Family):
-        speed = Fraction(1, d - s.k)
-        return speed if c is Contact.P0 else -speed
-    if isinstance(s, MonoH):
-        if c is Contact.P0:
-            return Fraction(2, d - s.h)
-        if c is Contact.P1:
-            return Fraction(-2, d - s.h)
-        return Fraction(-1, d - s.h)
-    speed = Fraction(1, d - s.k)
-    return -speed if c is Contact.P1 else speed
+    """Speed c of the induced source action [x;y] -> [t^(-c) x; y], from
+    equivariance of the monomial map against the bubble's weight pattern."""
+    n = _ROWS[kind.contact, type(kind.shape)][1]
+    return Fraction(n, kind.degree - kind.outgoing_exponent)
 
 
 def source_tangent_weight(kind: FixedMapKind, end: NodeEnd) -> Fraction:
@@ -238,28 +234,13 @@ def base_tangent_weight(d: int) -> Fraction:
     return Fraction(-1, d)
 
 
-_TRANSITION = {
-    (Contact.P0, Family): Contact.P1,
-    (Contact.P0, MonoH): Contact.P1,
-    (Contact.P0, MonoK): Contact.P2,
-    (Contact.P1, Family): Contact.P0,
-    (Contact.P1, MonoH): Contact.P0,
-    (Contact.P1, MonoK): Contact.P2,
-    (Contact.P2, MonoH): Contact.P0,
-    (Contact.P2, MonoK): Contact.P1,
-}
-
-
 def transition(kind: FixedMapKind) -> Optional[Tuple[Contact, int]]:
-    """Next bubble's (contact, degree), or None for an end map.
-
-    The outgoing direction inherits the role its weight plays in the next
-    bubble's pattern; working that role out row by row gives a fixed
-    automaton on the three contact labels.
-    """
+    """Next bubble's (contact, degree), or None for an end map.  The
+    outgoing direction inherits the role its weight plays in the next
+    bubble's pattern, which gives the automaton column of ``_ROWS``."""
     if kind.is_end_bubble:
         return None
-    return (_TRANSITION[(kind.contact, type(kind.shape))], kind.outgoing_exponent)
+    return _ROWS[kind.contact, type(kind.shape)][0], kind.outgoing_exponent
 
 
 @dataclass(frozen=True)
@@ -326,23 +307,15 @@ class Configuration:
         )
 
 
-def _step_candidates(contact: Contact, m: int) -> Iterator[FixedMapKind]:
-    """All fixed-map rows for a degree-m bubble met at the given contact."""
-    if contact in (Contact.P0, Contact.P1):
-        for h in range(1, m):
-            if (m + h) % 2 == 0:
-                yield make_kind(contact, m, Family(h, (m + h) // 2))
-            else:
-                yield make_kind(contact, m, MonoH(h))
-        for k in range(1, m):
-            if k == 1 and m != 2:
-                continue  # no isolated fixed locus: see module docstring
-            yield make_kind(contact, m, MonoK(k))
-    else:
-        for h in range(1, m):
-            yield make_kind(contact, m, MonoH(h))
-        for k in range(1, m):
-            yield make_kind(contact, m, MonoK(k))
+@lru_cache(maxsize=None)
+def _step_candidates(contact: Contact, m: int) -> Tuple[FixedMapKind, ...]:
+    """All fixed-map rows for a degree-m bubble met at the given contact:
+    per h a family or a MonoH, then the MonoK rows, as admitted."""
+    shapes = [s for h in range(1, m) for s in (Family(h, (m + h) // 2), MonoH(h))]
+    shapes += [MonoK(k) for k in range(1, m)]
+    return tuple(
+        FixedMapKind(contact, m, s) for s in shapes if _row_refusal(contact, m, s) is None
+    )
 
 
 def successors(contact: Contact, m: int, w: Fraction) -> Iterator[tuple]:

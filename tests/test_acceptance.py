@@ -8,7 +8,7 @@ import random
 import time
 from fractions import Fraction
 
-from multicover import localize
+from multicover import fixedpoints, localize
 from multicover.cli import load_reference_table
 from multicover.contributions import base_contribution, end_contribution, node_smoothing
 from multicover.exact import AlphaMonomial, alpha_flip, format_factored, parse_factored
@@ -36,6 +36,7 @@ def report(number, ok, detail):
 
 
 def cold_caches():
+    fixedpoints._step_candidates.cache_clear()
     localize._state_sum.cache_clear()
     localize.step_factors.cache_clear()
     localize.step_product.cache_clear()

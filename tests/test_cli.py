@@ -94,6 +94,15 @@ def test_breakdown_double_cover(capsys):
     assert sum(totals) == Fraction(-1, 200)
 
 
+@pytest.mark.parametrize("argv", [(), ("--max-degree", "20")])
+def test_breakdown_degree_cap(capsys, argv):
+    # degree 9 would write 5.6M records; --max-degree does not lift the cap
+    code, out, err = run(capsys, "compute", "9", "--breakdown", *argv)
+    assert code == 2
+    assert out == ""
+    assert "at most 8" in err
+
+
 def test_breakdown_record_count_degree_three(capsys):
     # 4 chains per side, frozen by the enumeration regression
     code, out, _ = run(capsys, "compute", "3", "--breakdown")
@@ -281,3 +290,16 @@ def test_stdout_closed_at_start_is_discarded():
         timeout=120,
     )
     assert (done.returncode, done.stderr) == (0, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_write_error_exits_ioerr():
+    # ``multicover compute 2 > /dev/full``: every write fails with ENOSPC
+    with open("/dev/full", "w") as full:
+        done = subprocess.run(
+            [*CLI, "compute", "2"], stdout=full, stderr=subprocess.PIPE, env=CLI_ENV, timeout=120
+        )
+    assert done.returncode == 74
+    assert done.stderr.decode().splitlines() == [
+        "cannot write output: [Errno 28] No space left on device"
+    ]

@@ -188,11 +188,30 @@ def test_short_monok_rows_limited_to_degree_two():
     kind(Contact.P2, 5, MonoK(1))
 
 
-def test_end_flag_must_match_shape():
-    with pytest.raises(InvalidKindError):
-        FixedMapKind(Contact.P0, 4, MonoH(3), True)
-    with pytest.raises(InvalidKindError):
-        FixedMapKind(Contact.P0, 4, MonoH(1), False)
+def test_end_flag_follows_outgoing_exponent():
+    assert FixedMapKind(Contact.P0, 4, MonoH(1)).is_end_bubble
+    assert not FixedMapKind(Contact.P0, 4, MonoH(3)).is_end_bubble
+    assert make_kind is FixedMapKind
+
+
+def test_listing_agrees_with_validation():
+    # a shape is a kind exactly when _step_candidates lists it: per h the
+    # families and the MonoH, then the MonoK rows
+    for m in range(2, 13):
+        for contact in Contact:
+            shapes = [
+                s
+                for h in range(m + 1)
+                for s in (*(Family(h, k) for k in range(m + 1)), MonoH(h))
+            ]
+            shapes += [MonoK(k) for k in range(m + 1)]
+            admitted = []
+            for shape in shapes:
+                try:
+                    admitted.append(make_kind(contact, m, shape))
+                except InvalidKindError:
+                    pass
+            assert list(_step_candidates(contact, m)) == admitted
 
 
 # -- chains and configurations ---------------------------------------------------
