@@ -2,22 +2,34 @@
 
 Each fixed locus contributes the reciprocal equivariant Euler class of its
 virtual normal bundle, which factors over the components of the broken
-target:
+target: the base component (one closed form in the cover degree), each
+bubble map, and a smoothing factor ``1/(w_left + w_right)`` per source node.
 
-* the base component (one closed form in the cover degree),
-* each ruled bubble, whose map contributes a main factor plus an auxiliary
-  factor for the attaching-divisor tangent at its outgoing node and for
-  its finite reparametrization automorphisms,
-* the end bubble, whose factor is self-contained,
-* a smoothing factor ``1/(w_left + w_right)`` per source node.
+Every bubble map, ruled or end, follows one formula.  For a degree-d map
+with slot exponent x (``k``, or ``h`` for ``MonoH``), q = d - x and
+outgoing exponent out, the main factor is ``w * (1/q)^e * a^e`` with
+e = 3*out - 3d - 1, the divisor-tangent factor at the outgoing node is
+``2a^2`` (``-a^2`` for ``MonoK`` at P0/P1), and the finite
+reparametrization automorphisms scale by 1/q.  The weight w has one of
+three forms:
+
+* ``Family(h, k)``: ``(-1)^(h+k) * sigma / ((d-h)! q!)^2``;
+* ``MonoH`` at P0/P1: ``(-1)^(d + ceil((d+h)/2)) * 2^q * 2^e / (q! q!!)^2``;
+* ``MonoH`` at P2 and every ``MonoK``: ``sign / (q q! (2q)!)``, with sign
+  -1 for ``MonoH`` at P2 and ``MonoK`` at P0, else ``(-1)^(d+k)``.
+
+An end map (out == 1) has no outgoing node, so its divisor-tangent factor
+is 1, and two things change: e = 3 - 3d, and the ``MonoH`` P0/P1 weight
+doubles (2^(q+1)).
 
 A one-parameter family of fixed maps contributes a factor linear in the
 class ``psi``, the first Chern class of the cotangent line at the outgoing
-contact point; its tabulated main factor is the coefficient of ``psi``.
-:func:`step_factors` integrates it on the spot over the one-dimensional
-locus, where ``psi`` integrates to ``-1/(d-h)``, so no product of two
-``psi`` classes ever arises.  End-bubble families carry the dual line (an
-extra automorphism), so their coefficient is minus the prefactor.
+contact point; its main factor is the coefficient of ``psi``, with sigma
+the harmonic-type :func:`_family_sum` on ruled rows.  End-bubble families
+carry the dual line (an extra automorphism), so their sigma is -1.
+:func:`step_factors` integrates the coefficient on the spot over the
+one-dimensional locus, where ``psi`` integrates to ``-1/(d-h)``, so no
+product of two ``psi`` classes ever arises.
 """
 
 from __future__ import annotations
@@ -61,10 +73,6 @@ def _double_factorial(n: int) -> int:
     return out
 
 
-def _ceil_half(n: int) -> int:
-    return (n + 1) // 2
-
-
 @dataclass(frozen=True)
 class FactorBundle:
     """A bubble map's tabulated factors.
@@ -74,7 +82,7 @@ class FactorBundle:
     :func:`step_factors`).  ``auxiliary`` is the divisor-tangent factor at
     the outgoing node (unit for end bubbles, which have none);
     ``automorphism_scale`` is the reciprocal order of the map's finite
-    reparametrization group (end rows already include it).
+    reparametrization group, 1/q on every row, end rows included.
     """
 
     main: AlphaMonomial
@@ -82,6 +90,7 @@ class FactorBundle:
     automorphism_scale: Fraction = Fraction(1)
 
 
+@lru_cache(maxsize=None)
 def base_contribution(d: int) -> AlphaMonomial:
     """Factor of the degree-d base component, automorphisms included:
     (-1)^(3d-1)/d * a^(6d-4) * (d! (2d)! / d^(3d))^2."""
@@ -102,120 +111,55 @@ def _family_sum(d: int, h: int, k: int) -> Fraction:
     return total
 
 
+def _bundle(kind: FixedMapKind, end: bool) -> FactorBundle:
+    """The bubble-map formula of the module docstring, as an end map when
+    ``end`` is set and as a ruled map otherwise."""
+    d, s, c = kind.degree, kind.shape, kind.contact
+    x = s.h if isinstance(s, MonoH) else s.k
+    q = d - x
+    e = 3 - 3 * d if end else 3 * kind.outgoing_exponent - 3 * d - 1
+    if isinstance(s, Family):
+        sigma = -1 if end else _family_sum(d, s.h, s.k)
+        weight = (-1) ** (s.h + s.k) * sigma * Fraction(
+            1, math.factorial(d - s.h) * math.factorial(q)
+        ) ** 2
+    elif isinstance(s, MonoH) and c is not Contact.P2:
+        weight = (
+            (-1) ** (d + (d + x + 1) // 2)
+            * 2 ** (q + end)
+            * Fraction(2) ** e
+            / (math.factorial(q) * _double_factorial(q)) ** 2
+        )
+    else:
+        sign = -1 if isinstance(s, MonoH) or c is Contact.P0 else (-1) ** (d + x)
+        weight = Fraction(sign, q * math.factorial(q) * math.factorial(2 * q))
+    if end:
+        tangent = MONO_ONE
+    elif isinstance(s, MonoK) and c is not Contact.P2:
+        tangent = AlphaMonomial(Fraction(-1), 2)
+    else:
+        tangent = AlphaMonomial(Fraction(2), 2)
+    return FactorBundle(
+        AlphaMonomial(weight * Fraction(1, q) ** e, e), tangent, Fraction(1, q)
+    )
+
+
 def ruled_contribution(kind: FixedMapKind) -> FactorBundle:
     """Tabulated factors for a map to a ruled bubble (one point blown up).
 
-    The expressions are total in (contact, shape, degree), so end-shaped
-    kinds evaluate too; their actual contribution must come from
+    The formula is total in (contact, shape, degree), so end-shaped kinds
+    evaluate too; their actual contribution must come from
     :func:`end_contribution`, which the assembly enforces.
     """
-    d, s, c = kind.degree, kind.shape, kind.contact
-
-    if isinstance(s, Family):
-        h, k = s.h, s.k
-        e = 3 * h - 3 * d - 1
-        # the family sign does not depend on the contact block
-        sign = (-1) ** (h + k)
-        coeff = (
-            sign
-            * Fraction(1, math.factorial(d - h) * math.factorial(d - k)) ** 2
-            * Fraction(1, d - k) ** e
-            * _family_sum(d, h, k)
-        )
-        return FactorBundle(
-            AlphaMonomial(coeff, e),
-            AlphaMonomial(Fraction(2), 2),
-            Fraction(1, d - k),
-        )
-
-    if isinstance(s, MonoH):
-        h = s.h
-        e = 3 * h - 3 * d - 1
-        if c is Contact.P2:
-            coeff = Fraction(-1, d - h) * Fraction(
-                1, math.factorial(d - h) * math.factorial(2 * d - 2 * h)
-            ) * Fraction(1, d - h) ** e
-        else:
-            coeff = (
-                (-1) ** (d + _ceil_half(d + h))
-                * 2 ** (d - h)
-                * Fraction(1, math.factorial(d - h) * _double_factorial(d - h)) ** 2
-                * Fraction(2, d - h) ** e
-            )
-        return FactorBundle(
-            AlphaMonomial(coeff, e),
-            AlphaMonomial(Fraction(2), 2),
-            Fraction(1, d - h),
-        )
-
-    k = s.k
-    e = 3 * k - 3 * d - 1
-    if c is Contact.P0:
-        sign = -1
-    elif c is Contact.P1:
-        sign = (-1) ** (d + k)
-    else:
-        sign = (-1) ** (d - k)
-    coeff = Fraction(sign, d - k) * Fraction(
-        1, math.factorial(d - k) * math.factorial(2 * d - 2 * k)
-    ) * Fraction(1, d - k) ** e
-    aux = (
-        AlphaMonomial(Fraction(2), 2)
-        if c is Contact.P2
-        else AlphaMonomial(Fraction(-1), 2)
-    )
-    return FactorBundle(AlphaMonomial(coeff, e), aux, Fraction(1, d - k))
+    return _bundle(kind, end=False)
 
 
 def end_contribution(kind: FixedMapKind) -> FactorBundle:
-    """Tabulated factors for a map to an end bubble (nothing blown up).
-
-    End bubbles have no divisor-tangent column (no outgoing node), but the
-    map's finite reparametrization automorphisms still contribute their
-    reciprocal order: 1/(d-1) for the single-slot maps, 1/(d-k) for the
-    one-parameter families.
-    """
+    """Tabulated factors for a map to an end bubble (nothing blown up): no
+    divisor-tangent factor, but still the automorphism scale 1/q."""
     if not kind.is_end_bubble:
         raise ValueError(f"{kind.describe()} is a ruled-bubble map")
-    d, s, c = kind.degree, kind.shape, kind.contact
-    e = 3 - 3 * d
-
-    if isinstance(s, Family):
-        k = s.k
-        pref = (
-            (-1) ** (k + 1)
-            * Fraction(1, math.factorial(d - 1) * math.factorial(d - k)) ** 2
-            * Fraction(1, d - k) ** e
-        )
-        # prefactor times the dual cotangent class, i.e. -psi
-        return FactorBundle(AlphaMonomial(-pref, e), MONO_ONE, Fraction(1, d - k))
-
-    # single-slot end maps keep a reparametrization group of order d - 1;
-    # its reciprocal rides along like the ruled rows' column
-    scale = Fraction(1, d - 1)
-
-    if isinstance(s, MonoH):
-        if c is Contact.P2:
-            coeff = Fraction(-1, d - 1) * Fraction(
-                1, math.factorial(d - 1) * math.factorial(2 * d - 2)
-            ) * Fraction(1, d - 1) ** e
-        else:
-            coeff = (
-                (-1) ** (d + _ceil_half(d + 1))
-                * 2**d
-                * Fraction(1, math.factorial(d - 1) * _double_factorial(d - 1)) ** 2
-                * Fraction(2, d - 1) ** e
-            )
-        return FactorBundle(AlphaMonomial(coeff, e), MONO_ONE, scale)
-
-    if c is Contact.P2:
-        coeff = Fraction((-1) ** (d - 1), d - 1) * Fraction(
-            1, math.factorial(d - 1) * math.factorial(2 * d - 2)
-        ) * Fraction(1, d - 1) ** e
-        return FactorBundle(AlphaMonomial(coeff, e), MONO_ONE, scale)
-
-    # the degree-2 short end map (the only such row at P0/P1)
-    return FactorBundle(AlphaMonomial(Fraction(-1, 2), -3), MONO_ONE, scale)
+    return _bundle(kind, end=True)
 
 
 def psi_integral(d: int, h: int) -> Fraction:

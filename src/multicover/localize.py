@@ -101,12 +101,6 @@ def _state_sum(contact: Contact, m: int, w: Fraction) -> AlphaMonomial:
 
 
 @lru_cache(maxsize=None)
-def _base_factor(d: int) -> AlphaMonomial:
-    """:func:`base_contribution`, computed once per degree."""
-    return base_contribution(d)
-
-
-@lru_cache(maxsize=None)
 def _side_record(chain: Chain, side: str) -> tuple:
     """``(trace, product)`` of one chain on one side: the labelled
     :func:`chain_factors` prefixed ``zero.``/``infinity.`` (the infinity
@@ -122,7 +116,7 @@ def configuration_contribution(cfg: Configuration) -> ConfigurationReport:
     """Labeled factor trace and degree-zero total of one configuration."""
     zero_trace, zero_product = _side_record(cfg.chain_zero, "zero")
     infinity_trace, infinity_product = _side_record(cfg.chain_infinity, "infinity")
-    base = _base_factor(cfg.cover_degree)
+    base = base_contribution(cfg.cover_degree)
     trace = (("base", base),) + zero_trace + infinity_trace
     total = base * zero_product * infinity_product
     if total.power != 0:

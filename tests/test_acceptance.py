@@ -8,7 +8,7 @@ import random
 import time
 from fractions import Fraction
 
-from multicover import fixedpoints, localize
+from multicover import contributions, fixedpoints, localize
 from multicover.cli import load_reference_table
 from multicover.contributions import base_contribution, end_contribution, node_smoothing
 from multicover.exact import AlphaMonomial, alpha_flip, format_factored, parse_factored
@@ -41,7 +41,7 @@ def cold_caches():
     localize.step_factors.cache_clear()
     localize.step_product.cache_clear()
     localize._side_record.cache_clear()
-    localize._base_factor.cache_clear()
+    contributions.base_contribution.cache_clear()
 
 
 def best_time(fn, repeats=5):
@@ -54,9 +54,13 @@ def best_time(fn, repeats=5):
 
 
 def test_criterion_1_base_formula():
-    value = base_contribution(2)
+    def uncached():
+        base_contribution.cache_clear()
+        return base_contribution(2)
+
+    value = uncached()
     exact = value == AlphaMonomial(F(-9, 32), 8)
-    runtime = best_time(lambda: base_contribution(2))
+    runtime = best_time(uncached)
     report(
         1,
         exact and runtime < 1e-3,

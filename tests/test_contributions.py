@@ -143,6 +143,32 @@ def test_end_rejects_ruled_kind():
         end_contribution(make_kind(Contact.P0, 4, MonoK(2)))
 
 
+@pytest.mark.parametrize(
+    "evaluate, contact, d, shape, main, auxiliary, scale",
+    [
+        (ruled_contribution, Contact.P1, 6, Family(2, 4), mono((736, 135), -13), mono(2, 2), F(1, 2)),
+        (ruled_contribution, Contact.P1, 5, MonoH(2), mono((-729, 512), -10), mono(2, 2), F(1, 3)),
+        (ruled_contribution, Contact.P1, 5, MonoK(3), mono((4, 3), -7), mono(-1, 2), F(1, 2)),
+        (ruled_contribution, Contact.P2, 5, MonoH(3), mono((-4, 3), -7), mono(2, 2), F(1, 2)),
+        (ruled_contribution, Contact.P2, 5, MonoK(3), mono((4, 3), -7), mono(2, 2), F(1, 2)),
+        (end_contribution, Contact.P1, 4, MonoH(1), mono((-243, 128), -9), MONO_ONE, F(1, 3)),
+        (end_contribution, Contact.P1, 5, Family(1, 3), mono((-16, 9), -12), MONO_ONE, F(1, 2)),
+    ],
+    ids=[
+        "ruled-P1-Family",
+        "ruled-P1-MonoH",
+        "ruled-P1-MonoK",
+        "ruled-P2-MonoH",
+        "ruled-P2-MonoK",
+        "end-P1-MonoH",
+        "end-P1-Family",
+    ],
+)
+def test_row_bundle_pins(evaluate, contact, d, shape, main, auxiliary, scale):
+    bundle = evaluate(make_kind(contact, d, shape))
+    assert (bundle.main, bundle.auxiliary, bundle.automorphism_scale) == (main, auxiliary, scale)
+
+
 def test_main_power_matches_tabulated_exponent():
     for kind in all_kinds(8):
         d = kind.degree
