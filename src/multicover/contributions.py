@@ -194,9 +194,8 @@ def step_factors(kind: FixedMapKind) -> Tuple[Tuple[str, AlphaMonomial], ...]:
     return tuple(factors)
 
 
-@lru_cache(maxsize=None)
 def step_product(kind: FixedMapKind) -> AlphaMonomial:
-    """The product of :func:`step_factors`, one cached monomial per kind."""
+    """The product of :func:`step_factors`, one monomial per kind."""
     return math.prod((factor for _, factor in step_factors(kind)), start=MONO_ONE)
 
 

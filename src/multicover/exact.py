@@ -90,7 +90,6 @@ class AlphaMonomial:
         return f"{self.coeff}*a^{self.power}"
 
 
-MONO_ZERO = AlphaMonomial(_ZERO, 0)
 MONO_ONE = AlphaMonomial(_ONE, 0)
 
 

@@ -307,7 +307,6 @@ class Configuration:
         )
 
 
-@lru_cache(maxsize=None)
 def _step_candidates(contact: Contact, m: int) -> Tuple[FixedMapKind, ...]:
     """All fixed-map rows for a degree-m bubble met at the given contact:
     per h a family or a MonoH, then the MonoK rows, as admitted."""
@@ -318,16 +317,26 @@ def _step_candidates(contact: Contact, m: int) -> Tuple[FixedMapKind, ...]:
     )
 
 
+@lru_cache(maxsize=None)
+def _walker_rows(contact: Contact, m: int) -> Tuple[tuple, ...]:
+    """Per row of :func:`_step_candidates`, ``(-w_in, (kind, w_in,
+    next_state))``: everything :func:`successors` needs, built once per
+    (contact, m) instead of once per incoming weight."""
+    rows = []
+    for kind in _step_candidates(contact, m):
+        w_in = source_tangent_weight(kind, NodeEnd.NODE_IN)
+        nxt = transition(kind)
+        rows.append((-w_in, (kind, w_in, None if nxt is None else (*nxt, -w_in))))
+    return tuple(rows)
+
+
 def successors(contact: Contact, m: int, w: Fraction) -> Iterator[tuple]:
     """Kept rows ``(kind, w_in, next_state)`` of a degree-m bubble met at
     ``contact`` through a node whose far side has weight ``w``; ``next_state``
     is ``(*transition(kind), -w_in)``, or None for an end map."""
-    for kind in _step_candidates(contact, m):
-        w_in = source_tangent_weight(kind, NodeEnd.NODE_IN)
-        if w + w_in == 0:
-            continue  # broken limit of a family locus; see the module docstring
-        nxt = transition(kind)
-        yield kind, w_in, None if nxt is None else (*nxt, -w_in)
+    for neg_w_in, row in _walker_rows(contact, m):
+        if w != neg_w_in:  # else w + w_in == 0: a broken limit of a family locus
+            yield row
 
 
 def _extend(prefix: tuple, state: tuple, out: list):

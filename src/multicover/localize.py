@@ -13,13 +13,17 @@ number -- and the invariant is their exact sum.  Because the factors are
 side-local, that sum equals base * S * flip(S) with S the one-sided sum,
 and because a step's factors depend only on its kind and the incoming
 node weight, S is a memoized sum over the (contact, degree, weight) states
-of the chain automaton, walked by :func:`fixedpoints.successors` with one
-cached :func:`contributions.step_product` per kind: the default path,
-polynomial in d.  Chains are enumerated one by one only for ``--breakdown``
-and for the configuration-by-configuration cross-check.  Each chain is
-traced and multiplied once per side, from :func:`chain_factors` and not
-from ``step_product``, so the cross-check shares no product with the state
-sum; a configuration then costs two products, base times the two sides.
+of the chain automaton, walked by :func:`fixedpoints.successors`: the
+default path, polynomial in d.  The power of ``a`` is fixed per row, so
+:func:`_row_coefficient` checks it once per kind as an integer identity,
+and a state sums plain coefficients as one integer numerator over a running
+lcm denominator, reduced to one ``Fraction`` per state.  Chains are
+enumerated one by one only for ``--breakdown`` and for the
+configuration-by-configuration cross-check, which keeps the monomial
+arithmetic.  Each chain is traced and multiplied once per side, from
+:func:`chain_factors` and not from ``step_product``, so the cross-check
+shares only the row model with the state sum; a configuration then costs
+two products, base times the two sides.
 """
 
 from __future__ import annotations
@@ -30,12 +34,19 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import List, Tuple
 
-from .contributions import base_contribution, node_smoothing, step_factors, step_product
-from .exact import MONO_ONE, MONO_ZERO, AlphaMonomial, alpha_flip
+from .contributions import (
+    DegenerateNodeError,
+    base_contribution,
+    node_smoothing,
+    step_factors,
+    step_product,
+)
+from .exact import MONO_ONE, AlphaMonomial, alpha_flip
 from .fixedpoints import (
     Chain,
     Configuration,
     Contact,
+    FixedMapKind,
     NodeEnd,
     UnsupportedDegreeError,
     base_tangent_weight,
@@ -90,14 +101,41 @@ def chain_factors(chain: Chain) -> Tuple[Tuple[str, AlphaMonomial], ...]:
 
 
 @lru_cache(maxsize=None)
-def _state_sum(contact: Contact, m: int, w: Fraction) -> AlphaMonomial:
-    """Sum over the chain tails from the state ``(contact, m, w)``: each row
-    :func:`successors` keeps, times the sum from its next state."""
-    total = MONO_ZERO
+def _row_coefficient(kind: FixedMapKind) -> Fraction:
+    """Coefficient of the kind's :func:`step_product`, once its power of
+    ``a`` is checked: 3e - 3m + 1 on a ruled step (e the outgoing exponent)
+    and 3 - 3m on an end step, so that every state's sum has power 2 - 3m."""
+    product = step_product(kind)
+    m = kind.degree
+    expected = 3 - 3 * m if kind.is_end_bubble else 3 * kind.outgoing_exponent - 3 * m + 1
+    if product.power != expected:
+        raise DegreeZeroViolation(
+            f"step {kind.describe()} has power {product.power}, expected {expected}"
+        )
+    return product.coeff
+
+
+@lru_cache(maxsize=None)
+def _state_sum(contact: Contact, m: int, w: Fraction) -> Fraction:
+    """Coefficient of the sum over the chain tails from the state
+    ``(contact, m, w)``, whose power of ``a`` is 2 - 3m: each row
+    :func:`successors` keeps adds c * tail / (w + w_in), with c its
+    :func:`_row_coefficient` and tail the sum from its next state.  The
+    terms go over one running lcm denominator, reduced once per state."""
+    p, q = w.numerator, w.denominator
+    num, den = 0, 1
     for kind, w_in, nxt in successors(contact, m, w):
-        tail = MONO_ONE if nxt is None else _state_sum(*nxt)
-        total = total + node_smoothing(w, w_in) * step_product(kind) * tail
-    return total
+        c = _row_coefficient(kind)
+        tail = 1 if nxt is None else _state_sum(*nxt)
+        smooth = p * w_in.denominator + w_in.numerator * q  # (w + w_in) * q * w_in.den
+        if smooth == 0:
+            raise DegenerateNodeError(f"node weights {w} and {w_in} sum to zero")
+        term_num = c.numerator * tail.numerator * q * w_in.denominator
+        term_den = c.denominator * tail.denominator * smooth
+        lcm = math.lcm(den, term_den)
+        num = num * (lcm // den) + term_num * (lcm // term_den)
+        den = lcm
+    return Fraction(num, den)
 
 
 @lru_cache(maxsize=None)
@@ -134,7 +172,7 @@ def side_sum(d: int, side: str) -> AlphaMonomial:
         raise ValueError(f"side must be 'zero' or 'infinity', got {side!r}")
     if d < 2:
         raise UnsupportedDegreeError(f"degree must be at least 2, got {d}")
-    total = _state_sum(Contact.P0, d, base_tangent_weight(d))
+    total = AlphaMonomial(_state_sum(Contact.P0, d, base_tangent_weight(d)), 2 - 3 * d)
     return alpha_flip(total) if side == "infinity" else total
 
 
@@ -147,11 +185,13 @@ def multiple_cover_invariant(d: int, *, method: str = "factored") -> Fraction:
     independent cross-check.
     """
     if method == "factored":
+        base = base_contribution(d)
+        if base.power != 6 * d - 4:
+            raise DegreeZeroViolation(
+                f"degree-{d} base factor has power {base.power}, expected {6 * d - 4}"
+            )
         s0 = side_sum(d, "zero")
-        total = base_contribution(d) * s0 * alpha_flip(s0)
-        if total.power != 0:
-            raise DegreeZeroViolation(f"degree-{d} invariant has power {total.power}")
-        return total.coeff
+        return (base * s0 * alpha_flip(s0)).coeff
     if method != "pairwise":
         raise ValueError(f"unknown method {method!r}")
     configs = enumerate_configurations(d)

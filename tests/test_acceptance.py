@@ -5,10 +5,11 @@ comparison is exact rational equality, with the stated runtime budgets.
 """
 
 import random
+import sys
 import time
 from fractions import Fraction
 
-from multicover import contributions, fixedpoints, localize
+from multicover import contributions, exact, fixedpoints, localize
 from multicover.cli import load_reference_table
 from multicover.contributions import base_contribution, end_contribution, node_smoothing
 from multicover.exact import AlphaMonomial, alpha_flip, format_factored, parse_factored
@@ -36,12 +37,31 @@ def report(number, ok, detail):
 
 
 def cold_caches():
-    fixedpoints._step_candidates.cache_clear()
+    fixedpoints._walker_rows.cache_clear()
     localize._state_sum.cache_clear()
+    localize._row_coefficient.cache_clear()
     localize.step_factors.cache_clear()
-    localize.step_product.cache_clear()
     localize._side_record.cache_clear()
     contributions.base_contribution.cache_clear()
+    exact._stage1.cache_clear()
+
+
+def test_cold_caches_clears_every_cache():
+    # criteria 3 and 4 time a cold run only if cold_caches() knows every cache
+    multiple_cover_invariant(3)
+    configuration_contribution(enumerate_configurations(2)[0])
+    exact.factorize(1000003 * 1000033)
+    cold_caches()
+    caches = {
+        f"{module.__name__}.{name}": value
+        for module in list(sys.modules.values())
+        if module is not None and module.__name__.startswith("multicover")
+        for name, value in vars(module).items()
+        if hasattr(value, "cache_info")
+    }
+    assert "multicover.localize._state_sum" in caches
+    sizes = {name: f.cache_info().currsize for name, f in caches.items()}
+    assert {name: size for name, size in sizes.items() if size} == {}
 
 
 def best_time(fn, repeats=5):

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -132,6 +133,19 @@ def test_state_sum_matches_chain_enumeration(d):
     assert side_sum(d, "zero") == chain_sum
 
 
+def test_values_beyond_the_table_match_frozen():
+    # the state sum above d = 9 against the values frozen for the benchmark
+    path = Path(__file__).resolve().parents[1] / "bench" / "data" / "frozen.txt"
+    frozen = {}
+    for line in path.read_text(encoding="utf-8").splitlines():
+        if line and not line.startswith("#"):
+            degree, value, _ = line.split("\t")
+            frozen[int(degree)] = F(value)
+    assert sorted(frozen) == [10, 11, 12, 13]
+    for d, value in frozen.items():
+        assert multiple_cover_invariant(d) == value, d
+
+
 def test_step_factors_match_bundles_and_chain_traces():
     for m in range(2, 7):
         for contact in Contact:
@@ -180,6 +194,39 @@ def test_nonzero_invariant_power_rejected(monkeypatch):
     monkeypatch.setattr(localize, "base_contribution", lambda d: mono(1, 1))
     with pytest.raises(DegreeZeroViolation):
         multiple_cover_invariant(2)
+
+
+def test_wrong_row_power_names_kind(monkeypatch):
+    kind = next(
+        k for k, _, nxt in localize.successors(Contact.P0, 4, F(-1, 4)) if nxt is not None
+    )
+    expected = 3 * kind.outgoing_exponent - 3 * 4 + 1
+    step_product = localize.step_product
+    monkeypatch.setattr(
+        localize,
+        "step_product",
+        lambda k: step_product(k) * mono(1, 1) if k == kind else step_product(k),
+    )
+    # the checked coefficients and the sums built from them are cached
+    localize._row_coefficient.cache_clear()
+    localize._state_sum.cache_clear()
+    try:
+        with pytest.raises(DegreeZeroViolation) as excinfo:
+            multiple_cover_invariant(4)
+    finally:
+        localize._row_coefficient.cache_clear()
+        localize._state_sum.cache_clear()
+    message = str(excinfo.value)
+    assert kind.describe() in message
+    assert f"power {expected + 1}, expected {expected}" in message
+
+
+def test_wrong_base_power_names_base(monkeypatch):
+    base_contribution = localize.base_contribution
+    monkeypatch.setattr(localize, "base_contribution", lambda d: base_contribution(d) * mono(1, 1))
+    with pytest.raises(DegreeZeroViolation) as excinfo:
+        multiple_cover_invariant(3)
+    assert str(excinfo.value) == "degree-3 base factor has power 15, expected 14"
 
 
 def test_nonzero_side_power_names_configuration(monkeypatch):
