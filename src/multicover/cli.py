@@ -13,6 +13,7 @@ a full disk), 141 standard output closed before the output was complete
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
 from dataclasses import dataclass
@@ -22,7 +23,7 @@ from typing import Dict, Optional
 
 from .contributions import base_contribution
 from .exact import FactoredFormatError, FactoredRational, _parse_int, format_factored
-from .fixedpoints import UnsupportedDegreeError, enumerate_configurations
+from .fixedpoints import Configuration, UnsupportedDegreeError, enumerate_chains
 from .localize import _side_record, configuration_contribution, multiple_cover_invariant
 
 __all__ = ["ReferenceTable", "load_reference_table", "main"]
@@ -74,18 +75,15 @@ def load_reference_table(path: Optional[str] = None) -> ReferenceTable:
 
 
 def _print_breakdown(d: int, out) -> Fraction:
-    """Write one record per configuration, one write each; a chain's
-    description and its factor lines on each side are rendered once."""
+    """Write one record per configuration, one write each, pairing the chains
+    as it goes (zero side outer, as ``enumerate_configurations`` lists them);
+    each chain's description and factor lines are rendered once, up front."""
     base = f"factor.base={base_contribution(d)}\n"
-    rendered: dict = {}
+    rendered = [(chain, _render(chain)) for chain in enumerate_chains(d)]
     total = Fraction(0)
-    for cfg in enumerate_configurations(d):
-        coeff = configuration_contribution(cfg).total.coeff
-        for chain in (cfg.chain_zero, cfg.chain_infinity):
-            if chain not in rendered:
-                rendered[chain] = _render(chain)
-        zero, infinity = rendered[cfg.chain_zero], rendered[cfg.chain_infinity]
-        out.write(  # the config= line is cfg.describe(), from the cached names
+    for (c0, zero), (ci, infinity) in itertools.product(rendered, repeat=2):
+        coeff = configuration_contribution(Configuration(d, c0, ci)).total.coeff
+        out.write(  # the config= line is Configuration.describe(), from the cached names
             f"config=zero:[{zero[0]}] infinity:[{infinity[0]}]\n"
             f"{base}{zero[1]}{infinity[2]}total={coeff}\n\n"
         )
@@ -128,7 +126,7 @@ def _cmd_compute(args) -> int:
 def _cmd_verify(args) -> int:
     try:
         table = load_reference_table(args.table)
-    except (OSError, FactoredFormatError) as exc:
+    except (OSError, UnicodeDecodeError, FactoredFormatError) as exc:
         print(f"cannot load table: {exc}", file=sys.stderr)
         return 2
     # up to the table's highest row, capped as compute is; 2..9 always

@@ -65,9 +65,6 @@ class AlphaMonomial:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "AlphaMonomial":
-        return AlphaMonomial(-self.coeff, self.power)
-
     def __add__(self, other: "AlphaMonomial") -> "AlphaMonomial":
         # Monomials only close under addition at equal powers; zero absorbs.
         if not other:

@@ -261,9 +261,6 @@ class Chain:
                 raise ValueError(
                     f"step {nxt.describe()} does not follow {prev.describe()}"
                 )
-        for step in steps[:-1]:
-            if step.is_end_bubble:
-                raise ValueError("only the last step may be an end bubble")
         if not steps[-1].is_end_bubble:
             raise ValueError("the last step must be an end bubble")
         # chains key the per-side caches, and hashing the steps anew costs a

@@ -28,6 +28,7 @@ two products, base times the two sides.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -50,7 +51,7 @@ from .fixedpoints import (
     NodeEnd,
     UnsupportedDegreeError,
     base_tangent_weight,
-    enumerate_configurations,
+    enumerate_chains,
     source_tangent_weight,
     successors,
 )
@@ -194,5 +195,5 @@ def multiple_cover_invariant(d: int, *, method: str = "factored") -> Fraction:
         return (base * s0 * alpha_flip(s0)).coeff
     if method != "pairwise":
         raise ValueError(f"unknown method {method!r}")
-    configs = enumerate_configurations(d)
-    return sum(configuration_contribution(c).total.coeff for c in configs)
+    pairs = itertools.product(enumerate_chains(d), repeat=2)
+    return sum(configuration_contribution(Configuration(d, *p)).total.coeff for p in pairs)

@@ -202,6 +202,17 @@ def test_non_ascii_table_degree_rejected(tmp_path, capsys, degree):
     assert "malformed degree" in err
 
 
+def test_table_not_utf8_rejected(tmp_path, capsys):
+    # a UTF-16 byte-order mark is not UTF-8: a bad table, not a mismatch
+    table = tmp_path / "table.txt"
+    table.write_bytes(b"\xff\xfe2\t-1/(2^3*5^2)\n")
+    code, out, err = run(capsys, "verify", "--max-degree", "2", "--table", str(table))
+    assert code == 2
+    assert out == ""
+    assert "cannot load table" in err
+    assert "can't decode byte 0xff" in err
+
+
 def test_shipped_table_shape():
     table = load_reference_table()
     assert sorted(table.rows) == list(range(2, 10))
@@ -261,6 +272,43 @@ def test_side_records_at_degree_five():
 
 CLI = [sys.executable, "-m", "multicover.cli"]
 CLI_ENV = dict(os.environ, PYTHONPATH=str(Path(multicover.__file__).resolve().parents[1]))
+
+
+def _peak_rss_kb():
+    """This process's resident high-water mark (``VmHWM``), or None where
+    ``/proc/self/status`` does not report it."""
+    try:
+        with open("/proc/self/status", encoding="ascii") as status:
+            lines = [line for line in status if line.startswith("VmHWM:")]
+    except OSError:
+        return None
+    return int(lines[0].split()[1]) if lines else None
+
+
+@pytest.mark.skipif(_peak_rss_kb() is None, reason="needs VmHWM in /proc/self/status")
+def test_breakdown_memory_stays_flat():
+    # the degree-7 breakdown writes 87025 records; they are paired from the
+    # 295 chains as they go, so the peak does not grow with the record count.
+    # The child reads its own high-water mark: a child's ru_maxrss can carry
+    # the parent's from before its exec
+    code = (
+        "import os, sys\n"
+        "from multicover.cli import main\n"
+        "from test_cli import _peak_rss_kb\n"
+        "out, sys.stdout = sys.stdout, open(os.devnull, 'w')\n"
+        "before = _peak_rss_kb()\n"
+        "assert main(['compute', '7', '--breakdown']) == 0\n"
+        "out.write(str(_peak_rss_kb() - before))\n"
+    )
+    paths = os.pathsep.join([CLI_ENV["PYTHONPATH"], str(Path(__file__).parent)])
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        stdout=subprocess.PIPE,
+        env=dict(CLI_ENV, PYTHONPATH=paths),
+        check=True,
+        timeout=300,
+    )
+    assert int(done.stdout) < 6 * 1024  # kB; 12.4 MB when the configuration list was held whole
 
 
 def test_closed_stdout_ends_quietly():

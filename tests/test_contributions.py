@@ -43,6 +43,8 @@ def test_base_double_cover():
 def test_base_degree_one():
     # direct evaluation of the closed form
     assert base_contribution(1) == mono(4, 2)
+    with pytest.raises(ValueError, match=">= 1"):
+        base_contribution(0)
 
 
 def test_base_degree_three():

@@ -99,6 +99,7 @@ def test_is_prime_basics():
     assert [n for n in range(2, 30) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert is_prime(49789008475889939)
     assert not is_prime(11740987 * 49789008475889939)
+    assert not any(is_prime(n) for n in (-7, 0, 1))
 
 
 def test_factorize_large_square():
@@ -109,6 +110,8 @@ def test_factorize_large_square():
 def test_factorize_mixed():
     assert factorize(2**44 * 11**2) == [(2, 44), (11, 2)]
     assert factorize(1) == []
+    with pytest.raises(ValueError, match="positive"):
+        factorize(0)
 
 
 def test_factorize_composite_powers():
@@ -278,6 +281,7 @@ def test_parse_accepts_unparenthesized_numerator():
         ("-1/(٢^3*5^2)", "base"),
         ("２", "base"),
         ("2²", "base"),
+        ("1/()", "empty product"),
     ],
 )
 def test_parse_errors_name_offender(text, fragment):
@@ -287,6 +291,8 @@ def test_parse_errors_name_offender(text, fragment):
 
 
 def test_factored_rational_invariants():
+    with pytest.raises(ValueError, match="sign"):
+        FactoredRational(0, (), ())
     with pytest.raises(ValueError):
         FactoredRational(1, ((4, 1),), ())
     with pytest.raises(ValueError):

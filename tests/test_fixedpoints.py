@@ -1,9 +1,15 @@
 """Fixed-map classification, weights, transitions, and enumeration."""
 
+import os
+import pickle
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import multicover
 from multicover.fixedpoints import (
     Chain,
     Configuration,
@@ -28,6 +34,7 @@ from multicover.fixedpoints import (
 )
 
 F = Fraction
+SRC = str(Path(multicover.__file__).resolve().parents[1])
 
 
 def kind(contact, d, shape):
@@ -188,6 +195,13 @@ def test_short_monok_rows_limited_to_degree_two():
     kind(Contact.P2, 5, MonoK(1))
 
 
+def test_kind_degree_and_shape_checked():
+    with pytest.raises(InvalidKindError, match="degree 1 must be >= 2"):
+        make_kind(Contact.P0, 1, MonoK(1))
+    with pytest.raises(InvalidKindError, match="unknown shape"):
+        make_kind(Contact.P0, 3, "MonoK")
+
+
 def test_end_flag_follows_outgoing_exponent():
     assert FixedMapKind(Contact.P0, 4, MonoH(1)).is_end_bubble
     assert not FixedMapKind(Contact.P0, 4, MonoH(3)).is_end_bubble
@@ -219,6 +233,8 @@ def test_listing_agrees_with_validation():
 def test_chain_must_start_at_p0():
     with pytest.raises(ValueError):
         Chain((kind(Contact.P1, 2, MonoH(1)),))
+    with pytest.raises(ValueError, match="at least one bubble"):
+        Chain(())
 
 
 def test_chain_transition_consistency():
@@ -228,6 +244,39 @@ def test_chain_transition_consistency():
         Chain((kind(Contact.P0, 4, MonoK(2)), kind(Contact.P1, 2, MonoH(1))))
     with pytest.raises(ValueError):
         Chain((kind(Contact.P0, 4, MonoK(2)), kind(Contact.P2, 3, MonoH(1))))
+
+
+def test_end_bubble_only_last():
+    # an end map has no transition, so no step can follow it
+    with pytest.raises(ValueError, match="does not follow"):
+        Chain((kind(Contact.P0, 2, MonoK(1)), kind(Contact.P2, 2, MonoH(1))))
+
+
+def test_chain_must_end_with_end_bubble():
+    with pytest.raises(ValueError, match="the last step must be an end bubble"):
+        Chain((kind(Contact.P0, 4, MonoK(2)),))
+
+
+def test_chain_pickles_across_hash_seeds():
+    # a chain caches its hash; one unpickled from a process with another
+    # string-hash seed must hash anew to be found in this process's dicts
+    chain = enumerate_chains(4)[-1]
+    code = (
+        "import pickle, sys\n"
+        "from multicover.fixedpoints import enumerate_chains\n"
+        "chain = enumerate_chains(4)[-1]\n"
+        "sys.stdout.buffer.write(pickle.dumps((chain, hash(chain))))\n"
+    )
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=SRC)
+    data = subprocess.run(
+        [sys.executable, "-c", code], env=env, stdout=subprocess.PIPE, check=True, timeout=120
+    ).stdout
+    copy, child_hash = pickle.loads(data)
+    assert child_hash != hash(chain)  # the enum names hash by string, so the seed shows
+    assert copy == chain and copy is not chain
+    assert hash(copy) == hash(chain)
+    assert {chain: "found"}[copy] == "found"
 
 
 def test_configuration_degree_check():
