@@ -21,7 +21,6 @@ from fractions import Fraction
 from importlib import resources
 from typing import Dict, Optional
 
-from .contributions import base_contribution
 from .exact import FactoredFormatError, FactoredRational, _parse_int, format_factored
 from .fixedpoints import Configuration, UnsupportedDegreeError, enumerate_chains
 from .localize import _side_record, configuration_contribution, multiple_cover_invariant
@@ -44,15 +43,17 @@ class ReferenceTable:
         return self.rows[d].value()
 
 
-def _parse_table_text(text: str, source: str) -> ReferenceTable:
+def _parse_table_text(data: bytes, source: str) -> ReferenceTable:
     rows: Dict[int, FactoredRational] = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
+    for lineno, raw in enumerate(data.splitlines(), 1):
+        try:  # decoded line by line, so a byte that is not UTF-8 gets source:line too
+            line = raw.decode("utf-8").strip()
+            if not line or line.startswith("#"):
+                continue
             d_text, value_text = line.split("\t")
             d = _parse_int(d_text, "degree")
+            if d < 2:
+                raise FactoredFormatError(f"degree {d} is below 2, the lowest cover degree")
             if d in rows:
                 raise FactoredFormatError(f"duplicate row for d={d}")
             rows[d] = FactoredRational.from_text(value_text)
@@ -64,28 +65,27 @@ def _parse_table_text(text: str, source: str) -> ReferenceTable:
 def load_reference_table(path: Optional[str] = None) -> ReferenceTable:
     """Load the reference table (the shipped one when no path is given)."""
     if path is None:
-        text = (
+        data = (
             resources.files("multicover")
             .joinpath("data/reference_table.txt")
-            .read_text(encoding="utf-8")
+            .read_bytes()
         )
-        return _parse_table_text(text, "reference_table.txt")
-    with open(path, encoding="utf-8") as handle:
+        return _parse_table_text(data, "reference_table.txt")
+    with open(path, "rb") as handle:
         return _parse_table_text(handle.read(), path)
 
 
 def _print_breakdown(d: int, out) -> Fraction:
     """Write one record per configuration, one write each, pairing the chains
     as it goes (zero side outer, as ``enumerate_configurations`` lists them);
-    each chain's description and factor lines are rendered once, up front."""
-    base = f"factor.base={base_contribution(d)}\n"
+    each chain's lines, base first on the zero side, are rendered up front."""
     rendered = [(chain, _render(chain)) for chain in enumerate_chains(d)]
     total = Fraction(0)
     for (c0, zero), (ci, infinity) in itertools.product(rendered, repeat=2):
         coeff = configuration_contribution(Configuration(d, c0, ci)).total.coeff
         out.write(  # the config= line is Configuration.describe(), from the cached names
             f"config=zero:[{zero[0]}] infinity:[{infinity[0]}]\n"
-            f"{base}{zero[1]}{infinity[2]}total={coeff}\n\n"
+            f"{zero[1]}{infinity[2]}total={coeff}\n\n"
         )
         total += coeff
     return total
@@ -111,22 +111,20 @@ def _cmd_compute(args) -> int:
     if args.breakdown and d > MAX_BREAKDOWN_DEGREE:
         print(f"--breakdown is limited to degree at most {MAX_BREAKDOWN_DEGREE}", file=sys.stderr)
         return 2
+    value = multiple_cover_invariant(d)
+    text = format_factored(value) if args.factored else str(value)
     if args.breakdown:
-        total = _print_breakdown(d, sys.stdout)
-        value = multiple_cover_invariant(d)
-        if total != value:
+        if _print_breakdown(d, sys.stdout) != value:
             raise AssertionError("breakdown records do not sum to the invariant")
-        print(f"sum={format_factored(value) if args.factored else value}")
-    else:
-        value = multiple_cover_invariant(d)
-        print(format_factored(value) if args.factored else value)
+        text = f"sum={text}"
+    print(text)
     return 0
 
 
 def _cmd_verify(args) -> int:
     try:
         table = load_reference_table(args.table)
-    except (OSError, UnicodeDecodeError, FactoredFormatError) as exc:
+    except (OSError, FactoredFormatError) as exc:
         print(f"cannot load table: {exc}", file=sys.stderr)
         return 2
     # up to the table's highest row, capped as compute is; 2..9 always

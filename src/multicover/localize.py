@@ -22,8 +22,8 @@ enumerated one by one only for ``--breakdown`` and for the
 configuration-by-configuration cross-check, which keeps the monomial
 arithmetic.  Each chain is traced and multiplied once per side, from
 :func:`chain_factors` and not from ``step_product``, so the cross-check
-shares only the row model with the state sum; a configuration then costs
-two products, base times the two sides.
+shares only the row model with the state sum; the zero side carries the
+base factor, so a configuration costs one product of its two side records.
 """
 
 from __future__ import annotations
@@ -143,8 +143,10 @@ def _state_sum(contact: Contact, m: int, w: Fraction) -> Fraction:
 def _side_record(chain: Chain, side: str) -> tuple:
     """``(trace, product)`` of one chain on one side: the labelled
     :func:`chain_factors` prefixed ``zero.``/``infinity.`` (the infinity
-    side flipped a -> -a), and their product."""
-    trace = tuple(
+    side flipped a -> -a, the zero side led by the ``base`` factor of the
+    chain's degree), and their product."""
+    base = (("base", base_contribution(chain.degree)),) if side == "zero" else ()
+    trace = base + tuple(
         (f"{side}.{label}", alpha_flip(m) if side == "infinity" else m)
         for label, m in chain_factors(chain)
     )
@@ -155,9 +157,8 @@ def configuration_contribution(cfg: Configuration) -> ConfigurationReport:
     """Labeled factor trace and degree-zero total of one configuration."""
     zero_trace, zero_product = _side_record(cfg.chain_zero, "zero")
     infinity_trace, infinity_product = _side_record(cfg.chain_infinity, "infinity")
-    base = base_contribution(cfg.cover_degree)
-    trace = (("base", base),) + zero_trace + infinity_trace
-    total = base * zero_product * infinity_product
+    trace = zero_trace + infinity_trace
+    total = zero_product * infinity_product
     if total.power != 0:
         lines = "\n".join(f"  {label} = {value}" for label, value in trace)
         raise DegreeZeroViolation(

@@ -110,6 +110,13 @@ def test_breakdown_record_count_degree_three(capsys):
     assert out.count("config=") == 16
 
 
+def test_breakdown_factored_sum(capsys):
+    code, out, _ = run(capsys, "compute", "3", "--breakdown", "--factored")
+    assert code == 0
+    assert out.count("config=") == 16
+    assert out.endswith("\n\nsum=-(5^2*43^2)/(3^13*7^2)\n")
+
+
 def test_verify_single_row(capsys):
     code, out, _ = run(capsys, "verify", "--max-degree", "2")
     assert code == 0
@@ -209,8 +216,21 @@ def test_table_not_utf8_rejected(tmp_path, capsys):
     code, out, err = run(capsys, "verify", "--max-degree", "2", "--table", str(table))
     assert code == 2
     assert out == ""
-    assert "cannot load table" in err
-    assert "can't decode byte 0xff" in err
+    assert f"cannot load table: {table}:1: 'utf-8' codec can't decode byte 0xff" in err
+
+
+@pytest.mark.parametrize("degree", ["0", "1"])
+def test_table_degree_below_two_rejected(tmp_path, capsys, degree):
+    # covers start at degree 2, and verify never reaches such a row
+    shipped = resources.files("multicover").joinpath("data/reference_table.txt")
+    text = shipped.read_text(encoding="utf-8")
+    table = tmp_path / "table.txt"
+    table.write_text(text + f"{degree}\t-1/(2^3*5^2)\n", encoding="utf-8")
+    code, out, err = run(capsys, "verify", "--table", str(table))
+    assert code == 2
+    assert out == ""
+    lineno = len(text.splitlines()) + 1
+    assert f"cannot load table: {table}:{lineno}: degree {degree} is below 2" in err
 
 
 def test_shipped_table_shape():

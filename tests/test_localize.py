@@ -1,5 +1,6 @@
 """Per-configuration assembly, side sums, and the invariants."""
 
+import io
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from multicover import localize
+from multicover.cli import _print_breakdown
 from multicover.contributions import end_contribution, psi_integral, ruled_contribution
 from multicover.exact import MONO_ONE, AlphaMonomial, alpha_flip
 from multicover.fixedpoints import (
@@ -229,7 +231,18 @@ def test_wrong_base_power_names_base(monkeypatch):
     assert str(excinfo.value) == "degree-3 base factor has power 15, expected 14"
 
 
-def test_nonzero_side_power_names_configuration(monkeypatch):
+# each per-configuration entry point, with the index of the configuration it
+# reaches first: the records and the pairwise sum start at the first one
+@pytest.mark.parametrize(
+    "evaluate, index",
+    [
+        (lambda: configuration_contribution(enumerate_configurations(3)[5]), 5),
+        (lambda: multiple_cover_invariant(3, method="pairwise"), 0),
+        (lambda: _print_breakdown(3, io.StringIO()), 0),
+    ],
+    ids=["configuration", "pairwise", "breakdown"],
+)
+def test_nonzero_side_power_names_configuration(monkeypatch, evaluate, index):
     side_record = localize._side_record
     bump = mono(1, 1)
 
@@ -240,9 +253,9 @@ def test_nonzero_side_power_names_configuration(monkeypatch):
         return trace, total
 
     monkeypatch.setattr(localize, "_side_record", skewed)
-    cfg = enumerate_configurations(3)[5]
+    cfg = enumerate_configurations(3)[index]
     with pytest.raises(DegreeZeroViolation) as excinfo:
-        configuration_contribution(cfg)
+        evaluate()
     message = str(excinfo.value)
     assert f"configuration {cfg.describe()} has total" in message
     assert "*a^1; trace:" in message
