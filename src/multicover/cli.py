@@ -1,6 +1,7 @@
 """Command-line front end.
 
-``compute <d> [--factored] [--breakdown]`` prints the exact invariant;
+``compute <d> [--factored] [--breakdown]`` prints the exact invariant for
+2 <= d <= 60, or up to 12 with ``--factored`` and 8 with ``--breakdown``;
 ``verify [--max-degree N] [--table PATH]`` checks computed values against
 the shipped reference table row by row.
 
@@ -22,13 +23,15 @@ from importlib import resources
 from typing import Dict, Optional
 
 from .exact import FactoredFormatError, FactoredRational, _parse_int, format_factored
-from .fixedpoints import Configuration, UnsupportedDegreeError, enumerate_chains
+from .fixedpoints import Configuration, enumerate_chains
 from .localize import _side_record, configuration_contribution, multiple_cover_invariant
 
 __all__ = ["ReferenceTable", "load_reference_table", "main"]
 
-DEFAULT_MAX_DEGREE = 12
-MAX_BREAKDOWN_DEGREE = 8  # 697225 records; each degree multiplies them by about 8
+# compute's highest degree per output mode: the state sum is polynomial in d
+# (about 4 s at d = 60), factoring is not (about 15 s at d = 14, over 90 s at
+# d = 18), and a breakdown writes 697225 records at d = 8, 8 times more per degree
+MAX_DEGREE = {"plain": 60, "--factored": 12, "--breakdown": 8}
 WRITE_ERROR = 74  # EX_IOERR of sysexits.h
 CLOSED_STDOUT = 141  # 128 + SIGPIPE, as a shell reports a process it killed
 
@@ -50,7 +53,10 @@ def _parse_table_text(data: bytes, source: str) -> ReferenceTable:
             line = raw.decode("utf-8").strip()
             if not line or line.startswith("#"):
                 continue
-            d_text, value_text = line.split("\t")
+            fields = line.split("\t")
+            if len(fields) != 2:
+                raise FactoredFormatError(f"expected degree<TAB>value, found {len(fields)} fields")
+            d_text, value_text = fields
             d = _parse_int(d_text, "degree")
             if d < 2:
                 raise FactoredFormatError(f"degree {d} is below 2, the lowest cover degree")
@@ -102,14 +108,10 @@ def _render(chain) -> tuple:
 
 def _cmd_compute(args) -> int:
     d = args.degree
-    if not 2 <= d <= args.max_degree:
-        print(
-            f"degree must be at least 2 and at most {args.max_degree}",
-            file=sys.stderr,
-        )
-        return 2
-    if args.breakdown and d > MAX_BREAKDOWN_DEGREE:
-        print(f"--breakdown is limited to degree at most {MAX_BREAKDOWN_DEGREE}", file=sys.stderr)
+    mode = "--breakdown" if args.breakdown else "--factored" if args.factored else "plain"
+    cap = MAX_DEGREE[mode]
+    if not 2 <= d <= cap:
+        print(f"degree must be at least 2 and at most {cap} for {mode} output", file=sys.stderr)
         return 2
     value = multiple_cover_invariant(d)
     text = format_factored(value) if args.factored else str(value)
@@ -127,8 +129,8 @@ def _cmd_verify(args) -> int:
     except (OSError, FactoredFormatError) as exc:
         print(f"cannot load table: {exc}", file=sys.stderr)
         return 2
-    # up to the table's highest row, capped as compute is; 2..9 always
-    top = min(max([9, *table.rows]), DEFAULT_MAX_DEGREE)
+    # up to the table's highest row, capped as plain compute is; 2..9 always
+    top = min(max([9, *table.rows]), MAX_DEGREE["plain"])
     max_degree = top if args.max_degree is None else args.max_degree
     if not 2 <= max_degree <= top:
         print(f"--max-degree must be between 2 and {top}", file=sys.stderr)
@@ -161,9 +163,6 @@ def _build_parser() -> argparse.ArgumentParser:
     compute.add_argument(
         "--breakdown", action="store_true", help="per-configuration records"
     )
-    compute.add_argument(
-        "--max-degree", type=int, default=DEFAULT_MAX_DEGREE, help="degree cap"
-    )
     compute.set_defaults(func=_cmd_compute)
 
     verify = sub.add_parser("verify", help="check against the reference table")
@@ -182,9 +181,6 @@ def main(argv=None) -> int:
         status = args.func(args)
         sys.stdout.flush()
         return status
-    except UnsupportedDegreeError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
     except OSError as exc:
         # the reader went away (``| head``) or the write failed; send what is
         # still buffered to devnull so the interpreter's last flush does not

@@ -51,7 +51,6 @@ __all__ = [
     "end_contribution",
     "psi_integral",
     "step_factors",
-    "step_product",
     "node_smoothing",
 ]
 
@@ -192,11 +191,6 @@ def step_factors(kind: FixedMapKind) -> Tuple[Tuple[str, AlphaMonomial], ...]:
     if bundle.automorphism_scale != 1:
         factors.append(("automorphisms", AlphaMonomial(bundle.automorphism_scale)))
     return tuple(factors)
-
-
-def step_product(kind: FixedMapKind) -> AlphaMonomial:
-    """The product of :func:`step_factors`, one monomial per kind."""
-    return math.prod((factor for _, factor in step_factors(kind)), start=MONO_ONE)
 
 
 def node_smoothing(left_weight: Fraction, right_weight: Fraction) -> AlphaMonomial:

@@ -21,9 +21,10 @@ lcm denominator, reduced to one ``Fraction`` per state.  Chains are
 enumerated one by one only for ``--breakdown`` and for the
 configuration-by-configuration cross-check, which keeps the monomial
 arithmetic.  Each chain is traced and multiplied once per side, from
-:func:`chain_factors` and not from ``step_product``, so the cross-check
-shares only the row model with the state sum; the zero side carries the
-base factor, so a configuration costs one product of its two side records.
+:func:`chain_factors` and not from :func:`_row_coefficient`, so the
+cross-check shares only the row model with the state sum; the zero side
+carries the base factor, so a configuration costs one product of its two
+side records.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from .contributions import (
     base_contribution,
     node_smoothing,
     step_factors,
-    step_product,
 )
 from .exact import MONO_ONE, AlphaMonomial, alpha_flip
 from .fixedpoints import (
@@ -103,10 +103,11 @@ def chain_factors(chain: Chain) -> Tuple[Tuple[str, AlphaMonomial], ...]:
 
 @lru_cache(maxsize=None)
 def _row_coefficient(kind: FixedMapKind) -> Fraction:
-    """Coefficient of the kind's :func:`step_product`, once its power of
-    ``a`` is checked: 3e - 3m + 1 on a ruled step (e the outgoing exponent)
-    and 3 - 3m on an end step, so that every state's sum has power 2 - 3m."""
-    product = step_product(kind)
+    """Coefficient of the product of the kind's :func:`step_factors`, once
+    its power of ``a`` is checked: 3e - 3m + 1 on a ruled step (e the
+    outgoing exponent) and 3 - 3m on an end step, so that every state's sum
+    has power 2 - 3m."""
+    product = math.prod((factor for _, factor in step_factors(kind)), start=MONO_ONE)
     m = kind.degree
     expected = 3 - 3 * m if kind.is_end_bubble else 3 * kind.outgoing_exponent - 3 * m + 1
     if product.power != expected:
@@ -186,6 +187,8 @@ def multiple_cover_invariant(d: int, *, method: str = "factored") -> Fraction:
     the full configuration list -- identical by exactness, kept as the
     independent cross-check.
     """
+    if d < 2:
+        raise UnsupportedDegreeError(f"degree must be at least 2, got {d}")
     if method == "factored":
         base = base_contribution(d)
         if base.power != 6 * d - 4:

@@ -71,9 +71,34 @@ def test_compute_rejects_low_degree(capsys):
 
 
 def test_compute_respects_degree_cap(capsys):
-    code, _, err = run(capsys, "compute", "13")
-    assert code == 2
-    assert "at most 12" in err
+    # polynomial state sum for plain values; factoring is not polynomial
+    for argv, cap in ((("61",), 60), (("13", "--factored"), 12)):
+        code, out, err = run(capsys, "compute", *argv)
+        assert code == 2
+        assert out == ""
+        assert "degree must be at least 2" in err
+        assert f"at most {cap}" in err
+
+
+def test_compute_above_table_matches_frozen(capsys):
+    # plain values above the shipped table come from the state sum alone;
+    # d = 10..13 are the values the benchmark froze (read, never written here)
+    frozen = Path(__file__).resolve().parents[1] / "bench" / "data" / "frozen.txt"
+    rows = [line.split("\t") for line in frozen.read_text(encoding="utf-8").splitlines()]
+    values = {fields[0]: fields[1] for fields in rows if len(fields) == 3}
+    for d in ("10", "11", "12", "13"):
+        code, out, _ = run(capsys, "compute", d)
+        assert code == 0
+        assert out == f"{values[d]}\n"
+
+
+def test_compute_max_degree_option_removed(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["compute", "5", "--max-degree", "12"])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --max-degree 12" in captured.err
 
 
 def test_breakdown_double_cover(capsys):
@@ -94,12 +119,13 @@ def test_breakdown_double_cover(capsys):
     assert sum(totals) == Fraction(-1, 200)
 
 
-@pytest.mark.parametrize("argv", [(), ("--max-degree", "20")])
+@pytest.mark.parametrize("argv", [(), ("--factored",)])
 def test_breakdown_degree_cap(capsys, argv):
-    # degree 9 would write 5.6M records; --max-degree does not lift the cap
+    # degree 9 would write 5.6M records; the breakdown cap wins over --factored's
     code, out, err = run(capsys, "compute", "9", "--breakdown", *argv)
     assert code == 2
     assert out == ""
+    assert "degree must be at least 2" in err
     assert "at most 8" in err
 
 
@@ -165,11 +191,11 @@ def test_verify_range_follows_table(tmp_path, capsys):
 
 def test_verify_range_capped_like_compute(tmp_path, capsys):
     table = tmp_path / "table.txt"
-    table.write_text("2\t-1/(2^3*5^2)\n13\t-1/(2^3*5^2)\n", encoding="utf-8")
-    code, out, err = run(capsys, "verify", "--max-degree", "13", "--table", str(table))
+    table.write_text("2\t-1/(2^3*5^2)\n61\t-1/(2^3*5^2)\n", encoding="utf-8")
+    code, out, err = run(capsys, "verify", "--max-degree", "61", "--table", str(table))
     assert code == 2
     assert out == ""
-    assert "between 2 and 12" in err
+    assert "between 2 and 60" in err
 
 
 def test_verify_missing_row(tmp_path, capsys):
@@ -231,6 +257,20 @@ def test_table_degree_below_two_rejected(tmp_path, capsys, degree):
     assert out == ""
     lineno = len(text.splitlines()) + 1
     assert f"cannot load table: {table}:{lineno}: degree {degree} is below 2" in err
+
+
+@pytest.mark.parametrize(
+    "row, fields",
+    [("3 -1", 1), ("2\t-1/(2^3*5^2)\textra", 3)],
+    ids=["no-tab", "two-tabs"],
+)
+def test_table_row_field_count_rejected(tmp_path, capsys, row, fields):
+    table = tmp_path / "table.txt"
+    table.write_text(f"2\t-1/(2^3*5^2)\n{row}\n", encoding="utf-8")
+    code, out, err = run(capsys, "verify", "--max-degree", "2", "--table", str(table))
+    assert code == 2
+    assert out == ""
+    assert f"cannot load table: {table}:2: expected degree<TAB>value, found {fields} fields" in err
 
 
 def test_shipped_table_shape():

@@ -11,8 +11,6 @@ from multicover.contributions import (
     node_smoothing,
     psi_integral,
     ruled_contribution,
-    step_factors,
-    step_product,
 )
 from multicover.exact import MONO_ONE, AlphaMonomial
 from multicover.fixedpoints import (
@@ -21,7 +19,6 @@ from multicover.fixedpoints import (
     MonoH,
     MonoK,
     NodeEnd,
-    _step_candidates,
     make_kind,
     source_tangent_weight,
 )
@@ -233,13 +230,3 @@ def test_double_cover_side_assembly():
         assert end_contribution(kind).main == main
         total = total + node_smoothing(base, w) * main
     assert total == mono((2, 15), -4)
-
-
-def test_step_product_is_product_of_step_factors():
-    for m in range(2, 9):
-        for contact in Contact:
-            for kind in _step_candidates(contact, m):
-                expected = MONO_ONE
-                for _, factor in step_factors(kind):
-                    expected = expected * factor
-                assert step_product(kind) == expected, kind.describe()

@@ -186,8 +186,10 @@ def test_unknown_method_rejected():
 
 
 def test_low_degree_propagates():
-    with pytest.raises(UnsupportedDegreeError):
-        multiple_cover_invariant(1)
+    for d in (-1, 0, 1):
+        for method in ("factored", "pairwise"):
+            with pytest.raises(UnsupportedDegreeError):
+                multiple_cover_invariant(d, method=method)
     with pytest.raises(UnsupportedDegreeError):
         side_sum(1, "zero")
 
@@ -203,11 +205,10 @@ def test_wrong_row_power_names_kind(monkeypatch):
         k for k, _, nxt in localize.successors(Contact.P0, 4, F(-1, 4)) if nxt is not None
     )
     expected = 3 * kind.outgoing_exponent - 3 * 4 + 1
-    step_product = localize.step_product
     monkeypatch.setattr(
         localize,
-        "step_product",
-        lambda k: step_product(k) * mono(1, 1) if k == kind else step_product(k),
+        "step_factors",
+        lambda k: step_factors(k) + (("skew", mono(1, 1)),) if k == kind else step_factors(k),
     )
     # the checked coefficients and the sums built from them are cached
     localize._row_coefficient.cache_clear()
