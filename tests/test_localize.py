@@ -1,5 +1,6 @@
 """Per-configuration assembly, side sums, and the invariants."""
 
+import functools
 import io
 import random
 from fractions import Fraction
@@ -9,7 +10,12 @@ import pytest
 
 from multicover import localize
 from multicover.cli import _print_breakdown
-from multicover.contributions import end_contribution, psi_integral, ruled_contribution
+from multicover.contributions import (
+    end_contribution,
+    node_smoothing,
+    psi_integral,
+    ruled_contribution,
+)
 from multicover.exact import MONO_ONE, AlphaMonomial, alpha_flip
 from multicover.fixedpoints import (
     Contact,
@@ -18,9 +24,11 @@ from multicover.fixedpoints import (
     MonoK,
     UnsupportedDegreeError,
     _step_candidates,
+    base_tangent_weight,
     enumerate_chains,
     enumerate_configurations,
     make_kind,
+    successors,
 )
 from multicover.localize import (
     DegreeZeroViolation,
@@ -43,6 +51,30 @@ def product(factors):
     for f in factors:
         out = out * f
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def monomial_state_sum(contact, m, w):
+    """The one-sided sum from state ``(contact, m, w)`` by a second path: the
+    same walk over :func:`successors`, but each term is the monomial
+    ``node_smoothing * step_factors product * tail``, its power checked
+    against 2 - 3m before its coefficient is summed."""
+    total = F(0)
+    for kind, w_in, nxt in successors(contact, m, w):
+        term = node_smoothing(w, w_in) * product(f for _, f in step_factors(kind))
+        if nxt is not None:
+            term = term * monomial_state_sum(*nxt)
+        assert term.coeff == 0 or term.power == 2 - 3 * m, (kind.describe(), term)
+        total += term.coeff
+    return AlphaMonomial(total, 2 - 3 * m)
+
+
+def assert_oracle_agrees(degrees):
+    """side_sum against :func:`monomial_state_sum` at each degree; CI runs
+    this past tier-1's range with ``PYTHONPATH=src:tests``."""
+    for d in degrees:
+        oracle = monomial_state_sum(Contact.P0, d, base_tangent_weight(d))
+        assert side_sum(d, "zero") == oracle, d
 
 
 def find_config(d, zero_shape, inf_shape):
@@ -133,6 +165,11 @@ def test_state_sum_matches_chain_enumeration(d):
         AlphaMonomial(0),
     )
     assert side_sum(d, "zero") == chain_sum
+
+
+def test_state_sum_matches_monomial_oracle():
+    # memo states are shared across degrees, so d = 10..20 costs about d = 20
+    assert_oracle_agrees(range(10, 21))
 
 
 def test_values_beyond_the_table_match_frozen():
