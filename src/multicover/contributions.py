@@ -89,7 +89,6 @@ class FactorBundle:
     automorphism_scale: Fraction = Fraction(1)
 
 
-@lru_cache(maxsize=None)
 def base_contribution(d: int) -> AlphaMonomial:
     """Factor of the degree-d base component, automorphisms included:
     (-1)^(3d-1)/d * a^(6d-4) * (d! (2d)! / d^(3d))^2."""

@@ -55,27 +55,12 @@ class AlphaMonomial:
         object.__setattr__(self, "coeff", coeff)
         object.__setattr__(self, "power", int(power))
 
-    def __bool__(self) -> bool:
-        return self.coeff != 0
-
     def __mul__(self, other: "AlphaMonomial") -> "AlphaMonomial":
         if isinstance(other, (int, Fraction)):
             return AlphaMonomial(self.coeff * other, self.power)
         return AlphaMonomial(self.coeff * other.coeff, self.power + other.power)
 
     __rmul__ = __mul__
-
-    def __add__(self, other: "AlphaMonomial") -> "AlphaMonomial":
-        # Monomials only close under addition at equal powers; zero absorbs.
-        if not other:
-            return self
-        if not self:
-            return other
-        if self.power != other.power:
-            raise ValueError(
-                f"cannot add monomials of powers {self.power} and {other.power}"
-            )
-        return AlphaMonomial(self.coeff + other.coeff, self.power)
 
     def flip(self) -> "AlphaMonomial":
         """Substitute a -> -a, i.e. multiply the coefficient by (-1)^power."""

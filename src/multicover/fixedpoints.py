@@ -33,7 +33,9 @@ chain.  The whole row model is one table and one rule:
 
 A row whose attaching node has zero smoothing weight is the broken limit
 of a family locus (the node deformation is the family direction), whose
-integral counts it; only :func:`successors`, the one walker, drops it.
+integral counts it.  :func:`successors`, the chain walker, drops it, and
+the state sum of :mod:`localize`, which reads :func:`_walker_rows`
+directly, drops it as a zero denominator.
 """
 
 from __future__ import annotations
@@ -317,8 +319,8 @@ def _step_candidates(contact: Contact, m: int) -> Tuple[FixedMapKind, ...]:
 @lru_cache(maxsize=None)
 def _walker_rows(contact: Contact, m: int) -> Tuple[tuple, ...]:
     """Per row of :func:`_step_candidates`, ``(-w_in, (kind, w_in,
-    next_state))``: everything :func:`successors` needs, built once per
-    (contact, m) instead of once per incoming weight."""
+    next_state))``: everything :func:`successors` and the state sum need,
+    built once per (contact, m) instead of once per incoming weight."""
     rows = []
     for kind in _step_candidates(contact, m):
         w_in = source_tangent_weight(kind, NodeEnd.NODE_IN)

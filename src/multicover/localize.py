@@ -13,15 +13,17 @@ number -- and the invariant is their exact sum.  Because the factors are
 side-local, that sum equals base * S * flip(S) with S the one-sided sum,
 and because a step's factors depend only on its kind and the incoming
 node weight, S is a memoized sum over the (contact, degree, weight) states
-of the chain automaton, walked by :func:`fixedpoints.successors`: the
-default path, polynomial in d.  The power of ``a`` is fixed per row, so
-:func:`_row_coefficient` checks it once per kind as an integer identity,
-and a state sums plain coefficients as one integer numerator over a running
-lcm denominator, reduced to one ``Fraction`` per state.  Chains are
-enumerated one by one only for ``--breakdown`` and for the
-configuration-by-configuration cross-check, which keeps the monomial
-arithmetic.  Each chain is traced and multiplied once per side, from
-:func:`chain_factors` and not from :func:`_row_coefficient`, so the
+of the chain automaton: the default path, polynomial in d.  Only a row's
+node smoothing 1/(w + w_in) depends on the incoming weight w, so
+:func:`_row_products` builds each row's coefficient times its tail sum once
+per bubble (contact, degree), over one common denominator, after checking
+the power of ``a`` as an integer identity.  A state then adds them over
+small integer smoothing denominators, reduced to one ``Fraction`` per
+state, and drops a row whose denominator is zero.  Chains are enumerated one
+by one, through :func:`fixedpoints.successors`, only for ``--breakdown``
+and for the configuration-by-configuration cross-check, which keeps the
+monomial arithmetic.  Each chain is traced and multiplied once per side,
+from :func:`chain_factors` and not from :func:`_row_products`, so the
 cross-check shares only the row model with the state sum; the zero side
 carries the base factor, so a configuration costs one product of its two
 side records.
@@ -36,24 +38,18 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import List, Tuple
 
-from .contributions import (
-    DegenerateNodeError,
-    base_contribution,
-    node_smoothing,
-    step_factors,
-)
+from .contributions import base_contribution, node_smoothing, step_factors
 from .exact import MONO_ONE, AlphaMonomial, alpha_flip
 from .fixedpoints import (
     Chain,
     Configuration,
     Contact,
-    FixedMapKind,
     NodeEnd,
     UnsupportedDegreeError,
+    _walker_rows,
     base_tangent_weight,
     enumerate_chains,
     source_tangent_weight,
-    successors,
 )
 
 __all__ = [
@@ -102,42 +98,45 @@ def chain_factors(chain: Chain) -> Tuple[Tuple[str, AlphaMonomial], ...]:
 
 
 @lru_cache(maxsize=None)
-def _row_coefficient(kind: FixedMapKind) -> Fraction:
-    """Coefficient of the product of the kind's :func:`step_factors`, once
-    its power of ``a`` is checked: 3e - 3m + 1 on a ruled step (e the
-    outgoing exponent) and 3 - 3m on an end step, so that every state's sum
-    has power 2 - 3m."""
-    product = math.prod((factor for _, factor in step_factors(kind)), start=MONO_ONE)
-    m = kind.degree
-    expected = 3 - 3 * m if kind.is_end_bubble else 3 * kind.outgoing_exponent - 3 * m + 1
-    if product.power != expected:
-        raise DegreeZeroViolation(
-            f"step {kind.describe()} has power {product.power}, expected {expected}"
-        )
-    return product.coeff
+def _row_products(contact: Contact, m: int) -> Tuple[tuple, int]:
+    """``(rows, L)`` for a degree-m bubble met at ``contact``: per row of
+    :func:`fixedpoints._walker_rows`, ``(a, b, n * b)`` with w_in = a/b and
+    c * tail = n/L, c the coefficient of the kind's :func:`step_factors`
+    product and tail the sum from its next state (1 for an end map).  The
+    product's power of ``a`` is checked first: 3e - 3m + 1 on a ruled step
+    (e the outgoing exponent) and 3 - 3m on an end step, so that every
+    state's sum has power 2 - 3m."""
+    products = []
+    for _, (kind, w_in, nxt) in _walker_rows(contact, m):
+        product = math.prod((factor for _, factor in step_factors(kind)), start=MONO_ONE)
+        expected = 3 - 3 * m if kind.is_end_bubble else 3 * kind.outgoing_exponent - 3 * m + 1
+        if product.power != expected:
+            raise DegreeZeroViolation(
+                f"step {kind.describe()} has power {product.power}, expected {expected}"
+            )
+        tail = 1 if nxt is None else _state_sum(*nxt)
+        products.append((w_in, product.coeff * tail))
+    L = math.lcm(*(c.denominator for _, c in products))
+    rows = tuple(
+        (w_in.numerator, w_in.denominator, c.numerator * (L // c.denominator) * w_in.denominator)
+        for w_in, c in products
+    )
+    return rows, L
 
 
 @lru_cache(maxsize=None)
 def _state_sum(contact: Contact, m: int, w: Fraction) -> Fraction:
     """Coefficient of the sum over the chain tails from the state
-    ``(contact, m, w)``, whose power of ``a`` is 2 - 3m: each row
-    :func:`successors` keeps adds c * tail / (w + w_in), with c its
-    :func:`_row_coefficient` and tail the sum from its next state.  The
-    terms go over one running lcm denominator, reduced once per state."""
+    ``(contact, m, w)``, whose power of ``a`` is 2 - 3m: each row of
+    :func:`_row_products` adds c * tail / (w + w_in) = n*b*q / (L*s), with
+    w = p/q and s = p*b + a*q a small integer, over M, the lcm of the s,
+    reduced once.  A row with s == 0 has zero smoothing weight (a broken
+    limit of a family locus) and is dropped."""
+    rows, L = _row_products(contact, m)
     p, q = w.numerator, w.denominator
-    num, den = 0, 1
-    for kind, w_in, nxt in successors(contact, m, w):
-        c = _row_coefficient(kind)
-        tail = 1 if nxt is None else _state_sum(*nxt)
-        smooth = p * w_in.denominator + w_in.numerator * q  # (w + w_in) * q * w_in.den
-        if smooth == 0:
-            raise DegenerateNodeError(f"node weights {w} and {w_in} sum to zero")
-        term_num = c.numerator * tail.numerator * q * w_in.denominator
-        term_den = c.denominator * tail.denominator * smooth
-        lcm = math.lcm(den, term_den)
-        num = num * (lcm // den) + term_num * (lcm // term_den)
-        den = lcm
-    return Fraction(num, den)
+    terms = [(nb, s) for a, b, nb in rows if (s := p * b + a * q)]
+    M = math.lcm(*(s for _, s in terms))
+    return Fraction(q * sum(nb * (M // s) for nb, s in terms), L * M)
 
 
 @lru_cache(maxsize=None)

@@ -318,6 +318,7 @@ def test_golden_stdout(capsys, argv, digest):
 def test_state_count_at_degree_ten():
     # the README's "146 states at degree 10"
     localize._state_sum.cache_clear()
+    localize._row_products.cache_clear()
     multiple_cover_invariant(10)
     assert localize._state_sum.cache_info().currsize == 146
 

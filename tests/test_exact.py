@@ -51,13 +51,6 @@ def test_zero_is_canonical():
     assert mono(3, 2) * mono(0, -5) == mono(0)
 
 
-def test_addition_requires_matching_power():
-    assert mono(1, -4) + mono((1, 2), -4) == mono((3, 2), -4)
-    assert mono(0) + mono(5, 3) == mono(5, 3)
-    with pytest.raises(ValueError):
-        mono(1, 2) + mono(1, 3)
-
-
 small_fractions = st.fractions(
     min_value=-100, max_value=100, max_denominator=60
 )

@@ -160,11 +160,12 @@ def test_headline_values():
 
 @pytest.mark.parametrize("d", range(2, 10))
 def test_state_sum_matches_chain_enumeration(d):
-    chain_sum = sum(
-        (product(m for _, m in chain_factors(c)) for c in enumerate_chains(d)),
-        AlphaMonomial(0),
-    )
-    assert side_sum(d, "zero") == chain_sum
+    chain_sum = F(0)
+    for chain in enumerate_chains(d):
+        chain_product = product(m for _, m in chain_factors(chain))
+        assert chain_product.power == 2 - 3 * d, chain.describe()
+        chain_sum += chain_product.coeff
+    assert side_sum(d, "zero") == AlphaMonomial(chain_sum, 2 - 3 * d)
 
 
 def test_state_sum_matches_monomial_oracle():
@@ -239,7 +240,7 @@ def test_nonzero_invariant_power_rejected(monkeypatch):
 
 def test_wrong_row_power_names_kind(monkeypatch):
     kind = next(
-        k for k, _, nxt in localize.successors(Contact.P0, 4, F(-1, 4)) if nxt is not None
+        k for k, _, nxt in successors(Contact.P0, 4, F(-1, 4)) if nxt is not None
     )
     expected = 3 * kind.outgoing_exponent - 3 * 4 + 1
     monkeypatch.setattr(
@@ -247,14 +248,14 @@ def test_wrong_row_power_names_kind(monkeypatch):
         "step_factors",
         lambda k: step_factors(k) + (("skew", mono(1, 1)),) if k == kind else step_factors(k),
     )
-    # the checked coefficients and the sums built from them are cached
-    localize._row_coefficient.cache_clear()
+    # the checked row products and the sums built from them are cached
+    localize._row_products.cache_clear()
     localize._state_sum.cache_clear()
     try:
         with pytest.raises(DegreeZeroViolation) as excinfo:
             multiple_cover_invariant(4)
     finally:
-        localize._row_coefficient.cache_clear()
+        localize._row_products.cache_clear()
         localize._state_sum.cache_clear()
     message = str(excinfo.value)
     assert kind.describe() in message
