@@ -23,8 +23,8 @@ from importlib import resources
 from typing import Dict, Optional
 
 from .exact import FactoredFormatError, FactoredRational, _parse_int, format_factored
-from .fixedpoints import Configuration, enumerate_chains
-from .localize import _side_record, configuration_contribution, multiple_cover_invariant
+from .fixedpoints import enumerate_chains
+from .localize import _side_record, multiple_cover_invariant
 
 __all__ = ["ReferenceTable", "load_reference_table", "main"]
 
@@ -83,26 +83,29 @@ def load_reference_table(path: Optional[str] = None) -> ReferenceTable:
 
 def _print_breakdown(d: int, out) -> Fraction:
     """Write one record per configuration, one write each, pairing the chains
-    as it goes (zero side outer, as ``enumerate_configurations`` lists them);
-    each chain's lines, base first on the zero side, are rendered up front."""
-    rendered = [(chain, _render(chain)) for chain in enumerate_chains(d)]
+    as it goes (zero side outer, as ``enumerate_configurations`` lists them).
+    Each chain is rendered up front, so a side whose power of ``a`` is wrong
+    raises before the first record; a record is then one product of two
+    checked side coefficients."""
+    rendered = [_render(chain) for chain in enumerate_chains(d)]
     total = Fraction(0)
-    for (c0, zero), (ci, infinity) in itertools.product(rendered, repeat=2):
-        coeff = configuration_contribution(Configuration(d, c0, ci)).total.coeff
-        out.write(  # the config= line is Configuration.describe(), from the cached names
-            f"config=zero:[{zero[0]}] infinity:[{infinity[0]}]\n"
-            f"{zero[1]}{infinity[2]}total={coeff}\n\n"
+    for (zero, (lines0, coeff0), _), (infinity, _, (lines1, coeff1)) in itertools.product(
+        rendered, repeat=2
+    ):
+        coeff = coeff0 * coeff1
+        out.write(  # the config= line is Configuration.describe(), from the rendered names
+            f"config=zero:[{zero}] infinity:[{infinity}]\n{lines0}{lines1}total={coeff}\n\n"
         )
         total += coeff
     return total
 
 
 def _render(chain) -> tuple:
-    """A chain's description, then its factor lines on the zero side and on
-    the infinity side."""
+    """A chain's description, then its factor lines and checked coefficient
+    on the zero side and on the infinity side."""
     return chain.describe(), *(
-        "".join(f"factor.{label}={value}\n" for label, value in _side_record(chain, side)[0])
-        for side in ("zero", "infinity")
+        ("".join(f"factor.{label}={value}\n" for label, value in trace), coeff)
+        for trace, coeff in (_side_record(chain, side) for side in ("zero", "infinity"))
     )
 
 

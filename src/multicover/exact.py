@@ -62,12 +62,6 @@ class AlphaMonomial:
 
     __rmul__ = __mul__
 
-    def flip(self) -> "AlphaMonomial":
-        """Substitute a -> -a, i.e. multiply the coefficient by (-1)^power."""
-        if self.power % 2:
-            return AlphaMonomial(-self.coeff, self.power)
-        return self
-
     def __str__(self) -> str:
         return f"{self.coeff}*a^{self.power}"
 
@@ -75,12 +69,12 @@ class AlphaMonomial:
 MONO_ONE = AlphaMonomial(_ONE, 0)
 
 
-def alpha_flip(x):
+def alpha_flip(x: AlphaMonomial) -> AlphaMonomial:
     """Apply a -> -a: each monomial c*a^k becomes (-1)^k * c * a^k.
 
     An involution and a multiplicative homomorphism.
     """
-    return x.flip()
+    return AlphaMonomial(-x.coeff, x.power) if x.power % 2 else x
 
 
 # ---------------------------------------------------------------------------

@@ -265,15 +265,6 @@ class Chain:
                 )
         if not steps[-1].is_end_bubble:
             raise ValueError("the last step must be an end bubble")
-        # chains key the per-side caches, and hashing the steps anew costs a
-        # dozen Python-level calls; a copy or an unpickled chain hashes again
-        object.__setattr__(self, "_hash", hash(steps))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        return Chain, (self.steps,)
 
     @property
     def degree(self) -> int:

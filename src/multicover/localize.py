@@ -24,14 +24,14 @@ by one, through :func:`fixedpoints.successors`, only for ``--breakdown``
 and for the configuration-by-configuration cross-check, which keeps the
 monomial arithmetic.  Each chain is traced and multiplied once per side,
 from :func:`chain_factors` and not from :func:`_row_products`, so the
-cross-check shares only the row model with the state sum; the zero side
-carries the base factor, so a configuration costs one product of its two
-side records.
+cross-check shares only the row model with the state sum.  The zero side
+carries the base factor, so a side's power of ``a`` is fixed (3d - 2 on the
+zero side, 2 - 3d on the infinity side) and checked once per chain and
+side; a configuration then costs one product of two plain coefficients.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -63,8 +63,8 @@ __all__ = [
 
 
 class DegreeZeroViolation(ArithmeticError):
-    """A configuration's total came out with a nonzero power of the
-    equivariant parameter."""
+    """A product whose power of the equivariant parameter differs from its
+    closed form."""
 
 
 @dataclass(frozen=True)
@@ -141,30 +141,34 @@ def _state_sum(contact: Contact, m: int, w: Fraction) -> Fraction:
 
 @lru_cache(maxsize=None)
 def _side_record(chain: Chain, side: str) -> tuple:
-    """``(trace, product)`` of one chain on one side: the labelled
+    """``(trace, coeff)`` of one chain on one side: the labelled
     :func:`chain_factors` prefixed ``zero.``/``infinity.`` (the infinity
     side flipped a -> -a, the zero side led by the ``base`` factor of the
-    chain's degree), and their product."""
+    chain's degree d), and the coefficient of their product, whose power of
+    ``a`` is checked first: 3d - 2 on the zero side, 2 - 3d on the other."""
     base = (("base", base_contribution(chain.degree)),) if side == "zero" else ()
     trace = base + tuple(
         (f"{side}.{label}", alpha_flip(m) if side == "infinity" else m)
         for label, m in chain_factors(chain)
     )
-    return trace, math.prod((m for _, m in trace), start=MONO_ONE)
+    product = math.prod((m for _, m in trace), start=MONO_ONE)
+    expected = 3 * chain.degree - 2 if side == "zero" else 2 - 3 * chain.degree
+    if product.power != expected:
+        lines = "\n".join(f"  {label} = {value}" for label, value in trace)
+        raise DegreeZeroViolation(
+            f"{side} side of chain {chain.describe()} has power {product.power}, "
+            f"expected {expected}; trace:\n{lines}"
+        )
+    return trace, product.coeff
 
 
 def configuration_contribution(cfg: Configuration) -> ConfigurationReport:
     """Labeled factor trace and degree-zero total of one configuration."""
-    zero_trace, zero_product = _side_record(cfg.chain_zero, "zero")
-    infinity_trace, infinity_product = _side_record(cfg.chain_infinity, "infinity")
-    trace = zero_trace + infinity_trace
-    total = zero_product * infinity_product
-    if total.power != 0:
-        lines = "\n".join(f"  {label} = {value}" for label, value in trace)
-        raise DegreeZeroViolation(
-            f"configuration {cfg.describe()} has total {total}; trace:\n{lines}"
-        )
-    return ConfigurationReport(cfg, trace, total)
+    zero_trace, zero_coeff = _side_record(cfg.chain_zero, "zero")
+    infinity_trace, infinity_coeff = _side_record(cfg.chain_infinity, "infinity")
+    return ConfigurationReport(
+        cfg, zero_trace + infinity_trace, AlphaMonomial(zero_coeff * infinity_coeff)
+    )
 
 
 def side_sum(d: int, side: str) -> AlphaMonomial:
@@ -182,9 +186,9 @@ def multiple_cover_invariant(d: int, *, method: str = "factored") -> Fraction:
     """The exact degree-d invariant.
 
     ``method="factored"`` evaluates base * S * flip(S) from the one-sided
-    state sum; ``method="pairwise"`` sums configuration_contribution over
-    the full configuration list -- identical by exactness, kept as the
-    independent cross-check.
+    state sum; ``method="pairwise"`` sums the N^2 products of the chains'
+    checked side coefficients, zero side outer -- identical by exactness,
+    kept as the independent cross-check.
     """
     if d < 2:
         raise UnsupportedDegreeError(f"degree must be at least 2, got {d}")
@@ -198,5 +202,7 @@ def multiple_cover_invariant(d: int, *, method: str = "factored") -> Fraction:
         return (base * s0 * alpha_flip(s0)).coeff
     if method != "pairwise":
         raise ValueError(f"unknown method {method!r}")
-    pairs = itertools.product(enumerate_chains(d), repeat=2)
-    return sum(configuration_contribution(Configuration(d, *p)).total.coeff for p in pairs)
+    chains = enumerate_chains(d)
+    zero = [_side_record(chain, "zero")[1] for chain in chains]
+    infinity = [_side_record(chain, "infinity")[1] for chain in chains]
+    return sum(z * i for z in zero for i in infinity)

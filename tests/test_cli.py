@@ -15,7 +15,8 @@ import multicover
 from multicover import localize
 from multicover.cli import _print_breakdown, load_reference_table, main
 from multicover.exact import parse_factored
-from multicover.localize import multiple_cover_invariant
+from multicover.fixedpoints import enumerate_configurations
+from multicover.localize import configuration_contribution, multiple_cover_invariant
 
 # the engine's d = 10 value, as frozen for the benchmark
 FROZEN_D10 = (
@@ -324,11 +325,33 @@ def test_state_count_at_degree_ten():
 
 
 def test_side_records_at_degree_five():
-    # 37 chains per side at degree 5: each is traced and multiplied once per
-    # side, not once per configuration it takes part in
-    localize._side_record.cache_clear()
-    _print_breakdown(5, io.StringIO())
-    assert localize._side_record.cache_info().misses == 2 * 37
+    # 37 chains per side at degree 5: the breakdown and the pairwise sum each
+    # trace and multiply a chain once per side, not once per configuration
+    for evaluate in (
+        lambda: _print_breakdown(5, io.StringIO()),
+        lambda: multiple_cover_invariant(5, method="pairwise"),
+    ):
+        localize._side_record.cache_clear()
+        evaluate()
+        assert localize._side_record.cache_info().misses == 2 * 37
+
+
+def test_breakdown_records_match_configuration_contribution():
+    # the breakdown pairs side records without the per-configuration API;
+    # each record must still read as that API reports the configuration
+    out = io.StringIO()
+    _print_breakdown(4, out)
+    records = out.getvalue().split("\n\n")
+    assert records.pop() == ""
+    configurations = enumerate_configurations(4)
+    assert len(records) == len(configurations)
+    for record, cfg in zip(records, configurations):
+        report = configuration_contribution(cfg)
+        assert record.split("\n") == [
+            "config=" + cfg.describe(),
+            *(f"factor.{label}={value}" for label, value in report.per_factor_trace),
+            f"total={report.total.coeff}",
+        ]
 
 
 CLI = [sys.executable, "-m", "multicover.cli"]

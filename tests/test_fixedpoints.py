@@ -258,8 +258,9 @@ def test_chain_must_end_with_end_bubble():
 
 
 def test_chain_pickles_across_hash_seeds():
-    # a chain caches its hash; one unpickled from a process with another
-    # string-hash seed must hash anew to be found in this process's dicts
+    # a chain's hash follows the string-hash seed (its enum names hash by
+    # string); one unpickled from a process with another seed must hash anew
+    # to be found in this process's dicts
     chain = enumerate_chains(4)[-1]
     code = (
         "import pickle, sys\n"

@@ -11,6 +11,7 @@ import pytest
 from multicover import localize
 from multicover.cli import _print_breakdown
 from multicover.contributions import (
+    base_contribution,
     end_contribution,
     node_smoothing,
     psi_integral,
@@ -270,37 +271,51 @@ def test_wrong_base_power_names_base(monkeypatch):
     assert str(excinfo.value) == "degree-3 base factor has power 15, expected 14"
 
 
-# each per-configuration entry point, with the index of the configuration it
-# reaches first: the records and the pairwise sum start at the first one
+# each per-configuration entry point, and the side it reports when chain 2
+# of degree 3 gets a wrong power: configuration 6 pairs chains 1 and 2, so
+# its zero side passes and its infinity side is reported, while the pairwise
+# sum and the breakdown check every zero side before any infinity side
 @pytest.mark.parametrize(
-    "evaluate, index",
-    [
-        (lambda: configuration_contribution(enumerate_configurations(3)[5]), 5),
-        (lambda: multiple_cover_invariant(3, method="pairwise"), 0),
-        (lambda: _print_breakdown(3, io.StringIO()), 0),
-    ],
+    "entry, side",
+    [("configuration", "infinity"), ("pairwise", "zero"), ("breakdown", "zero")],
     ids=["configuration", "pairwise", "breakdown"],
 )
-def test_nonzero_side_power_names_configuration(monkeypatch, evaluate, index):
-    side_record = localize._side_record
-    bump = mono(1, 1)
-
-    def skewed(chain, side):
-        trace, total = side_record(chain, side)
-        if side == "infinity":
-            return trace + (("infinity.bump", bump),), total * bump
-        return trace, total
-
-    monkeypatch.setattr(localize, "_side_record", skewed)
-    cfg = enumerate_configurations(3)[index]
-    with pytest.raises(DegreeZeroViolation) as excinfo:
-        evaluate()
-    message = str(excinfo.value)
-    assert f"configuration {cfg.describe()} has total" in message
-    assert "*a^1; trace:" in message
-    assert "  base = " in message
-    assert "  zero.smooth[base->1] = " in message
-    assert message.endswith("  infinity.bump = 1*a^1")
+def test_nonzero_side_power_names_configuration(monkeypatch, entry, side):
+    cfg = enumerate_configurations(3)[6]
+    target = cfg.chain_infinity
+    assert cfg.chain_zero != target
+    real_chain_factors = localize.chain_factors
+    bump = (("bump", mono(1, 1)),)
+    monkeypatch.setattr(
+        localize,
+        "chain_factors",
+        lambda chain: real_chain_factors(chain) + (bump if chain == target else ()),
+    )
+    out = io.StringIO()
+    evaluate = {
+        "configuration": lambda: configuration_contribution(cfg),
+        "pairwise": lambda: multiple_cover_invariant(3, method="pairwise"),
+        "breakdown": lambda: _print_breakdown(3, out),
+    }[entry]
+    # the side records are cached (and cli holds its own name for them), so
+    # the cache is cleared for the skewed factors to be traced at all
+    localize._side_record.cache_clear()
+    try:
+        with pytest.raises(DegreeZeroViolation) as excinfo:
+            evaluate()
+    finally:
+        localize._side_record.cache_clear()
+    expected = 7 if side == "zero" else -7
+    trace = [f"  base = {base_contribution(3)}"] if side == "zero" else []
+    trace += [
+        f"  {side}.{label} = {alpha_flip(m) if side == 'infinity' else m}"
+        for label, m in real_chain_factors(target) + bump
+    ]
+    assert str(excinfo.value) == (
+        f"{side} side of chain {target.describe()} has power {expected + 1}, "
+        f"expected {expected}; trace:\n" + "\n".join(trace)
+    )
+    assert out.getvalue() == ""  # a breakdown raises before its first record
 
 
 def test_side_sum_validates_side():
