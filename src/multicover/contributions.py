@@ -24,9 +24,11 @@ doubles (2^(q+1)).
 
 A one-parameter family of fixed maps contributes a factor linear in the
 class ``psi``, the first Chern class of the cotangent line at the outgoing
-contact point; its main factor is the coefficient of ``psi``, with sigma
-the harmonic-type :func:`_family_sum` on ruled rows.  End-bubble families
-carry the dual line (an extra automorphism), so their sigma is -1.
+contact point; its main factor is the coefficient of ``psi``.  On ruled
+rows sigma is the degree-one Chern part of the obstruction bundle,
+h H_h + k (H_k - H_{k-h}) + d (H_d - H_{d-h}) - 3h over the harmonic
+numbers H_n (:func:`_family_sum`).  End-bubble families carry the dual
+line (an extra automorphism), so their sigma is -1.
 :func:`step_factors` integrates the coefficient on the spot over the
 one-dimensional locus, where ``psi`` integrates to ``-1/(d-h)``, so no
 product of two ``psi`` classes ever arises.
@@ -63,15 +65,6 @@ class DegenerateNodeError(ValueError):
     """
 
 
-def _double_factorial(n: int) -> int:
-    # n!! = n(n-2)(n-4)...; empty products (n <= 0) are 1
-    out = 1
-    while n > 1:
-        out *= n
-        n -= 2
-    return out
-
-
 @dataclass(frozen=True)
 class FactorBundle:
     """A bubble map's tabulated factors.
@@ -85,8 +78,8 @@ class FactorBundle:
     """
 
     main: AlphaMonomial
-    auxiliary: AlphaMonomial = MONO_ONE
-    automorphism_scale: Fraction = Fraction(1)
+    auxiliary: AlphaMonomial
+    automorphism_scale: Fraction
 
 
 def base_contribution(d: int) -> AlphaMonomial:
@@ -100,13 +93,19 @@ def base_contribution(d: int) -> AlphaMonomial:
     return AlphaMonomial(coeff, 6 * d - 4)
 
 
+@lru_cache(maxsize=None)
+def _harmonic(n: int) -> Fraction:
+    """H_n = 1 + 1/2 + ... + 1/n; H_0 = 0."""
+    return sum(Fraction(1, i) for i in range(1, n + 1))
+
+
 def _family_sum(d: int, h: int, k: int) -> Fraction:
-    """Harmonic-type sum from the degree-one Chern part of the obstruction
-    bundle over a map family; empty (zero) at h == 1."""
-    total = Fraction(0)
-    for i in range(h):
-        total += Fraction(i, h - i) + Fraction(i, k - i) + Fraction(i, d - i)
-    return total
+    """sigma = sum_{i<h} i/(h-i) + i/(k-i) + i/(d-i), the degree-one Chern
+    part of the obstruction bundle over a map family.  As i/(n-i) =
+    n/(n-i) - 1, it is h H_h + k (H_k - H_{k-h}) + d (H_d - H_{d-h}) - 3h,
+    which is 0 at h == 1."""
+    H = _harmonic
+    return h * H(h) + k * (H(k) - H(k - h)) + d * (H(d) - H(d - h)) - 3 * h
 
 
 def _bundle(kind: FixedMapKind, end: bool) -> FactorBundle:
@@ -126,7 +125,7 @@ def _bundle(kind: FixedMapKind, end: bool) -> FactorBundle:
             (-1) ** (d + (d + x + 1) // 2)
             * 2 ** (q + end)
             * Fraction(2) ** e
-            / (math.factorial(q) * _double_factorial(q)) ** 2
+            / (math.factorial(q) * math.prod(range(q, 0, -2))) ** 2
         )
     else:
         sign = -1 if isinstance(s, MonoH) or c is Contact.P0 else (-1) ** (d + x)

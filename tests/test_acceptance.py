@@ -9,7 +9,7 @@ import sys
 import time
 from fractions import Fraction
 
-from multicover import exact, fixedpoints, localize
+from multicover import contributions, exact, fixedpoints, localize
 from multicover.cli import load_reference_table
 from multicover.contributions import base_contribution, end_contribution, node_smoothing
 from multicover.exact import AlphaMonomial, alpha_flip, format_factored, parse_factored
@@ -41,6 +41,7 @@ def cold_caches():
     localize._state_sum.cache_clear()
     localize._row_products.cache_clear()
     localize.step_factors.cache_clear()
+    contributions._harmonic.cache_clear()
     localize._side_record.cache_clear()
     exact._stage1.cache_clear()
 

@@ -1,6 +1,7 @@
 """Per-configuration assembly, side sums, and the invariants."""
 
 import functools
+import hashlib
 import io
 import random
 from fractions import Fraction
@@ -76,6 +77,17 @@ def assert_oracle_agrees(degrees):
     for d in degrees:
         oracle = monomial_state_sum(Contact.P0, d, base_tangent_weight(d))
         assert side_sum(d, "zero") == oracle, d
+
+
+# sha256 over the lines f"{d}\t{N_d}\n" for d = 2..60, the plain cap
+VALUES_DIGEST = "a1381674b5601d233554889024a0695fd4340e01a5c8bf450f2852957490ba72"
+
+
+def assert_values_digest():
+    """Every plain value up to the cap against :data:`VALUES_DIGEST`; CI
+    runs this beside :func:`assert_oracle_agrees`."""
+    lines = "".join(f"{d}\t{multiple_cover_invariant(d)}\n" for d in range(2, 61))
+    assert hashlib.sha256(lines.encode()).hexdigest() == VALUES_DIGEST
 
 
 def find_config(d, zero_shape, inf_shape):
