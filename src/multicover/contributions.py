@@ -32,6 +32,10 @@ line (an extra automorphism), so their sigma is -1.
 :func:`step_factors` integrates the coefficient on the spot over the
 one-dimensional locus, where ``psi`` integrates to ``-1/(d-h)``, so no
 product of two ``psi`` classes ever arises.
+
+:func:`_weights` writes the formula once, in integers.  The chain traces
+take :func:`step_factors`; the state sum takes the product of a step's
+factors, one coefficient and one power of ``a``, from :func:`_step_coefficient`.
 """
 
 from __future__ import annotations
@@ -108,37 +112,35 @@ def _family_sum(d: int, h: int, k: int) -> Fraction:
     return h * H(h) + k * (H(k) - H(k - h)) + d * (H(d) - H(d - h)) - 3 * h
 
 
-def _bundle(kind: FixedMapKind, end: bool) -> FactorBundle:
-    """The bubble-map formula of the module docstring, as an end map when
-    ``end`` is set and as a ruled map otherwise."""
+def _weights(kind: FixedMapKind, end: bool) -> Tuple[int, int, int, int, int]:
+    """``(n, r, e, q, t)`` for the bubble-map formula of the module
+    docstring, as an end map when ``end`` is set and as a ruled map
+    otherwise: the main factor w (1/q)^e a^e is n/r a^e (not reduced; e < 0
+    on every kind), the automorphism scale is 1/q, and the divisor-tangent
+    factor is t a^2 (t = 1 with no a^2 on an end map)."""
     d, s, c = kind.degree, kind.shape, kind.contact
     x = s.h if isinstance(s, MonoH) else s.k
     q = d - x
     e = 3 - 3 * d if end else 3 * kind.outgoing_exponent - 3 * d - 1
     if isinstance(s, Family):
         sigma = -1 if end else _family_sum(d, s.h, s.k)
-        weight = (-1) ** (s.h + s.k) * sigma * Fraction(
-            1, math.factorial(d - s.h) * math.factorial(q)
-        ) ** 2
+        n = (-1) ** (s.h + s.k) * sigma.numerator
+        r = sigma.denominator * (math.factorial(d - s.h) * math.factorial(q)) ** 2
     elif isinstance(s, MonoH) and c is not Contact.P2:
-        weight = (
-            (-1) ** (d + (d + x + 1) // 2)
-            * 2 ** (q + end)
-            * Fraction(2) ** e
-            / (math.factorial(q) * math.prod(range(q, 0, -2))) ** 2
-        )
+        n = (-1) ** (d + (d + x + 1) // 2) * 2 ** (q + end)
+        r = (math.factorial(q) * math.prod(range(q, 0, -2))) ** 2 << -e  # 2^e
     else:
-        sign = -1 if isinstance(s, MonoH) or c is Contact.P0 else (-1) ** (d + x)
-        weight = Fraction(sign, q * math.factorial(q) * math.factorial(2 * q))
-    if end:
-        tangent = MONO_ONE
-    elif isinstance(s, MonoK) and c is not Contact.P2:
-        tangent = AlphaMonomial(Fraction(-1), 2)
-    else:
-        tangent = AlphaMonomial(Fraction(2), 2)
-    return FactorBundle(
-        AlphaMonomial(weight * Fraction(1, q) ** e, e), tangent, Fraction(1, q)
-    )
+        n = -1 if isinstance(s, MonoH) or c is Contact.P0 else (-1) ** (d + x)
+        r = q * math.factorial(q) * math.factorial(2 * q)
+    t = 1 if end else -1 if isinstance(s, MonoK) and c is not Contact.P2 else 2
+    return n * q ** -e, r, e, q, t
+
+
+def _bundle(kind: FixedMapKind, end: bool) -> FactorBundle:
+    """The factors of :func:`_weights` as monomials."""
+    n, r, e, q, t = _weights(kind, end)
+    tangent = AlphaMonomial(Fraction(t), 0 if end else 2)
+    return FactorBundle(AlphaMonomial(Fraction(n, r), e), tangent, Fraction(1, q))
 
 
 def ruled_contribution(kind: FixedMapKind) -> FactorBundle:
@@ -189,6 +191,17 @@ def step_factors(kind: FixedMapKind) -> Tuple[Tuple[str, AlphaMonomial], ...]:
     if bundle.automorphism_scale != 1:
         factors.append(("automorphisms", AlphaMonomial(bundle.automorphism_scale)))
     return tuple(factors)
+
+
+def _step_coefficient(kind: FixedMapKind) -> Tuple[Fraction, int]:
+    """Coefficient and power of ``a`` of the product of :func:`step_factors`
+    (main, psi integral -1/(d-h) on a family, divisor tangent, 1/q), multiplied
+    out in integers into one ``Fraction``, with no monomial built."""
+    end = kind.is_end_bubble
+    n, r, e, q, t = _weights(kind, end)
+    if isinstance(kind.shape, Family):
+        n, r = -n, r * (kind.degree - kind.shape.h)
+    return Fraction(n * t, r * q), e if end else e + 2
 
 
 def node_smoothing(left_weight: Fraction, right_weight: Fraction) -> AlphaMonomial:

@@ -6,7 +6,8 @@ infinity side evaluated in the 0-side frame and then flipped a -> -a.
 A step's factors come from :func:`contributions.step_factors`, which
 integrates a family step's psi coefficient on the spot, so the running
 product stays a single monomial and any number of family steps per chain
-is handled.
+is handled; the state sum takes their product, coefficient and power of
+``a``, in closed form from :func:`contributions._step_coefficient`.
 
 Every configuration multiplies out to a degree-zero monomial -- a pure
 number -- and the invariant is their exact sum.  Because the factors are
@@ -38,7 +39,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import List, Tuple
 
-from .contributions import base_contribution, node_smoothing, step_factors
+from .contributions import _step_coefficient, base_contribution, node_smoothing, step_factors
 from .exact import MONO_ONE, AlphaMonomial, alpha_flip
 from .fixedpoints import (
     Chain,
@@ -101,21 +102,21 @@ def chain_factors(chain: Chain) -> Tuple[Tuple[str, AlphaMonomial], ...]:
 def _row_products(contact: Contact, m: int) -> Tuple[tuple, int]:
     """``(rows, L)`` for a degree-m bubble met at ``contact``: per row of
     :func:`fixedpoints._walker_rows`, ``(a, b, n * b)`` with w_in = a/b and
-    c * tail = n/L, c the coefficient of the kind's :func:`step_factors`
-    product and tail the sum from its next state (1 for an end map).  The
-    product's power of ``a`` is checked first: 3e - 3m + 1 on a ruled step
-    (e the outgoing exponent) and 3 - 3m on an end step, so that every
-    state's sum has power 2 - 3m."""
+    c * tail = n/L, c the kind's :func:`_step_coefficient` (the
+    coefficient of its :func:`step_factors` product) and tail the sum from
+    its next state (1 for an end map).  The product's power of ``a`` is
+    checked first: 3e - 3m + 1 on a ruled step (e the outgoing exponent)
+    and 3 - 3m on an end step, so that every state's sum has power 2 - 3m."""
     products = []
     for _, (kind, w_in, nxt) in _walker_rows(contact, m):
-        product = math.prod((factor for _, factor in step_factors(kind)), start=MONO_ONE)
+        coeff, power = _step_coefficient(kind)
         expected = 3 - 3 * m if kind.is_end_bubble else 3 * kind.outgoing_exponent - 3 * m + 1
-        if product.power != expected:
+        if power != expected:
             raise DegreeZeroViolation(
-                f"step {kind.describe()} has power {product.power}, expected {expected}"
+                f"step {kind.describe()} has power {power}, expected {expected}"
             )
         tail = 1 if nxt is None else _state_sum(*nxt)
-        products.append((w_in, product.coeff * tail))
+        products.append((w_in, coeff * tail))
     L = math.lcm(*(c.denominator for _, c in products))
     rows = tuple(
         (w_in.numerator, w_in.denominator, c.numerator * (L // c.denominator) * w_in.denominator)

@@ -64,6 +64,14 @@ def test_cold_caches_clears_every_cache():
     assert {name: size for name, size in sizes.items() if size} == {}
 
 
+def test_plain_path_fills_no_step_factors_cache():
+    # the state sum takes each row's coefficient from _step_coefficient;
+    # step_factors and its cache serve only the chain paths
+    cold_caches()
+    multiple_cover_invariant(20)
+    assert contributions.step_factors.cache_info().currsize == 0
+
+
 def best_time(fn, repeats=5):
     best = float("inf")
     for _ in range(repeats):

@@ -12,6 +12,7 @@ import pytest
 from multicover import localize
 from multicover.cli import _print_breakdown
 from multicover.contributions import (
+    _step_coefficient,
     base_contribution,
     end_contribution,
     node_smoothing,
@@ -77,6 +78,17 @@ def assert_oracle_agrees(degrees):
     for d in degrees:
         oracle = monomial_state_sum(Contact.P0, d, base_tangent_weight(d))
         assert side_sum(d, "zero") == oracle, d
+
+
+def assert_step_coefficients_agree(degrees):
+    """:func:`_step_coefficient` against the coefficient and power of the
+    :func:`step_factors` product, for every admitted kind of each degree;
+    CI runs this past tier-1's range like :func:`assert_oracle_agrees`."""
+    for m in degrees:
+        for contact in Contact:
+            for kind in _step_candidates(contact, m):
+                expected = product(f for _, f in step_factors(kind))
+                assert _step_coefficient(kind) == (expected.coeff, expected.power), kind
 
 
 # sha256 over the lines f"{d}\t{N_d}\n" for d = 2..60, the plain cap
@@ -186,6 +198,11 @@ def test_state_sum_matches_monomial_oracle():
     assert_oracle_agrees(range(10, 21))
 
 
+def test_step_coefficient_matches_factor_product():
+    # 4372 kinds; the row products of the state sum use only the closed form
+    assert_step_coefficients_agree(range(2, 40))
+
+
 def test_values_beyond_the_table_match_frozen():
     # the state sum above d = 9 against the values frozen for the benchmark
     path = Path(__file__).resolve().parents[1] / "bench" / "data" / "frozen.txt"
@@ -256,11 +273,12 @@ def test_wrong_row_power_names_kind(monkeypatch):
         k for k, _, nxt in successors(Contact.P0, 4, F(-1, 4)) if nxt is not None
     )
     expected = 3 * kind.outgoing_exponent - 3 * 4 + 1
-    monkeypatch.setattr(
-        localize,
-        "step_factors",
-        lambda k: step_factors(k) + (("skew", mono(1, 1)),) if k == kind else step_factors(k),
-    )
+
+    def skewed(k):  # an extra a^1 on one kind
+        coeff, power = _step_coefficient(k)
+        return coeff, power + (k == kind)
+
+    monkeypatch.setattr(localize, "_step_coefficient", skewed)
     # the checked row products and the sums built from them are cached
     localize._row_products.cache_clear()
     localize._state_sum.cache_clear()
