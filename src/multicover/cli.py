@@ -24,7 +24,7 @@ from typing import Dict, Optional
 
 from .exact import FactoredFormatError, FactoredRational, _parse_int, format_factored
 from .fixedpoints import enumerate_chains
-from .localize import _side_record, multiple_cover_invariant
+from .localize import _chain_record, multiple_cover_invariant
 
 __all__ = ["ReferenceTable", "load_reference_table", "main"]
 
@@ -84,7 +84,7 @@ def load_reference_table(path: Optional[str] = None) -> ReferenceTable:
 def _print_breakdown(d: int, out) -> Fraction:
     """Write one record per configuration, one write each, pairing the chains
     as it goes (zero side outer, as ``enumerate_configurations`` lists them).
-    Each chain is rendered up front, so a side whose power of ``a`` is wrong
+    Each chain is rendered up front, so a chain whose power of ``a`` is wrong
     raises before the first record; a record is then one product of two
     checked side coefficients."""
     rendered = [_render(chain) for chain in enumerate_chains(d)]
@@ -105,7 +105,7 @@ def _render(chain) -> tuple:
     on the zero side and on the infinity side."""
     return chain.describe(), *(
         ("".join(f"factor.{label}={value}\n" for label, value in trace), coeff)
-        for trace, coeff in (_side_record(chain, side) for side in ("zero", "infinity"))
+        for trace, coeff in _chain_record(chain)
     )
 
 
@@ -144,11 +144,10 @@ def _cmd_verify(args) -> int:
             print(f"table has no row for d={d}", file=sys.stderr)
             return 2
         computed = multiple_cover_invariant(d)
-        expected = table.value(d)
-        if computed == expected:
+        if computed == table.value(d):
             print(f"d={d} PASS")
-        else:
-            print(f"d={d} FAIL computed={computed} expected={expected}")
+        else:  # the row as factored text: its value may have too many digits for str()
+            print(f"d={d} FAIL computed={computed} expected={table.rows[d].text()}")
             status = 1
     return status
 

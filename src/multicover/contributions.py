@@ -34,8 +34,10 @@ one-dimensional locus, where ``psi`` integrates to ``-1/(d-h)``, so no
 product of two ``psi`` classes ever arises.
 
 :func:`_weights` writes the formula once, in integers.  The chain traces
-take :func:`step_factors`; the state sum takes the product of a step's
-factors, one coefficient and one power of ``a``, from :func:`_step_coefficient`.
+take :func:`step_factors`; the state sum takes the coefficient of the product
+of a step's factors from :func:`_step_coefficient`.  That product's power of
+``a`` is fixed by the kind (3*out - 3d + 1 on a ruled map, 3 - 3d on an end
+map), so the state sum carries no power.
 """
 
 from __future__ import annotations
@@ -193,15 +195,14 @@ def step_factors(kind: FixedMapKind) -> Tuple[Tuple[str, AlphaMonomial], ...]:
     return tuple(factors)
 
 
-def _step_coefficient(kind: FixedMapKind) -> Tuple[Fraction, int]:
-    """Coefficient and power of ``a`` of the product of :func:`step_factors`
-    (main, psi integral -1/(d-h) on a family, divisor tangent, 1/q), multiplied
-    out in integers into one ``Fraction``, with no monomial built."""
-    end = kind.is_end_bubble
-    n, r, e, q, t = _weights(kind, end)
+def _step_coefficient(kind: FixedMapKind) -> Fraction:
+    """Coefficient of the product of :func:`step_factors` (main, psi integral
+    -1/(d-h) on a family, divisor tangent, 1/q), multiplied out in integers
+    into one ``Fraction``, with no monomial built."""
+    n, r, _, q, t = _weights(kind, kind.is_end_bubble)
     if isinstance(kind.shape, Family):
         n, r = -n, r * (kind.degree - kind.shape.h)
-    return Fraction(n * t, r * q), e if end else e + 2
+    return Fraction(n * t, r * q)
 
 
 def node_smoothing(left_weight: Fraction, right_weight: Fraction) -> AlphaMonomial:

@@ -447,7 +447,10 @@ def format_factored(q: Fraction) -> str:
 def _parse_int(token: str, what: str) -> int:
     if not (token.isascii() and token.isdigit()) or (token[0] == "0" and token != "0"):
         raise FactoredFormatError(f"malformed {what} {token!r}")
-    return int(token)
+    try:
+        return int(token)
+    except ValueError:  # more digits than sys.get_int_max_str_digits() allows
+        raise FactoredFormatError(f"{what} of {len(token)} digits is too long") from None
 
 
 def _parse_product(text: str) -> tuple:

@@ -6,8 +6,8 @@ infinity side evaluated in the 0-side frame and then flipped a -> -a.
 A step's factors come from :func:`contributions.step_factors`, which
 integrates a family step's psi coefficient on the spot, so the running
 product stays a single monomial and any number of family steps per chain
-is handled; the state sum takes their product, coefficient and power of
-``a``, in closed form from :func:`contributions._step_coefficient`.
+is handled; the state sum takes the coefficient of their product in
+closed form from :func:`contributions._step_coefficient`.
 
 Every configuration multiplies out to a degree-zero monomial -- a pure
 number -- and the invariant is their exact sum.  Because the factors are
@@ -17,18 +17,20 @@ node weight, S is a memoized sum over the (contact, degree, weight) states
 of the chain automaton: the default path, polynomial in d.  Only a row's
 node smoothing 1/(w + w_in) depends on the incoming weight w, so
 :func:`_row_products` builds each row's coefficient times its tail sum once
-per bubble (contact, degree), over one common denominator, after checking
-the power of ``a`` as an integer identity.  A state then adds them over
-small integer smoothing denominators, reduced to one ``Fraction`` per
-state, and drops a row whose denominator is zero.  Chains are enumerated one
-by one, through :func:`fixedpoints.successors`, only for ``--breakdown``
-and for the configuration-by-configuration cross-check, which keeps the
-monomial arithmetic.  Each chain is traced and multiplied once per side,
-from :func:`chain_factors` and not from :func:`_row_products`, so the
-cross-check shares only the row model with the state sum.  The zero side
-carries the base factor, so a side's power of ``a`` is fixed (3d - 2 on the
-zero side, 2 - 3d on the infinity side) and checked once per chain and
-side; a configuration then costs one product of two plain coefficients.
+per bubble (contact, degree), over one common denominator.  A state then
+adds them over small integer smoothing denominators, reduced to one
+``Fraction`` per state, and drops a row whose denominator is zero.  The
+state sum carries no power of ``a``: a row's power is fixed by its kind, so
+every degree-m state's sum has power 2 - 3m by construction.  Chains are
+enumerated one by one, through :func:`fixedpoints.successors`, only for
+``--breakdown`` and for the configuration-by-configuration cross-check,
+which keeps the monomial arithmetic.  Each chain is traced and multiplied
+once, from :func:`chain_factors` and not from :func:`_row_products`, so the
+cross-check shares only the row model with the state sum.  That product's
+power of ``a`` is the one power checked at run time: it must be 2 - 3d, and
+a wrong one names the chain.  Both sides' records come from it, the zero
+side led by the base factor and the infinity side flipped a -> -a, so a
+configuration costs one product of two plain coefficients.
 """
 
 from __future__ import annotations
@@ -64,8 +66,8 @@ __all__ = [
 
 
 class DegreeZeroViolation(ArithmeticError):
-    """A product whose power of the equivariant parameter differs from its
-    closed form."""
+    """A chain whose factors' product has a power of the equivariant
+    parameter other than 2 - 3d, so its configurations are not numbers."""
 
 
 @dataclass(frozen=True)
@@ -104,19 +106,11 @@ def _row_products(contact: Contact, m: int) -> Tuple[tuple, int]:
     :func:`fixedpoints._walker_rows`, ``(a, b, n * b)`` with w_in = a/b and
     c * tail = n/L, c the kind's :func:`_step_coefficient` (the
     coefficient of its :func:`step_factors` product) and tail the sum from
-    its next state (1 for an end map).  The product's power of ``a`` is
-    checked first: 3e - 3m + 1 on a ruled step (e the outgoing exponent)
-    and 3 - 3m on an end step, so that every state's sum has power 2 - 3m."""
+    its next state (1 for an end map)."""
     products = []
     for _, (kind, w_in, nxt) in _walker_rows(contact, m):
-        coeff, power = _step_coefficient(kind)
-        expected = 3 - 3 * m if kind.is_end_bubble else 3 * kind.outgoing_exponent - 3 * m + 1
-        if power != expected:
-            raise DegreeZeroViolation(
-                f"step {kind.describe()} has power {power}, expected {expected}"
-            )
         tail = 1 if nxt is None else _state_sum(*nxt)
-        products.append((w_in, coeff * tail))
+        products.append((w_in, _step_coefficient(kind) * tail))
     L = math.lcm(*(c.denominator for _, c in products))
     rows = tuple(
         (w_in.numerator, w_in.denominator, c.numerator * (L // c.denominator) * w_in.denominator)
@@ -141,32 +135,32 @@ def _state_sum(contact: Contact, m: int, w: Fraction) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def _side_record(chain: Chain, side: str) -> tuple:
-    """``(trace, coeff)`` of one chain on one side: the labelled
-    :func:`chain_factors` prefixed ``zero.``/``infinity.`` (the infinity
-    side flipped a -> -a, the zero side led by the ``base`` factor of the
-    chain's degree d), and the coefficient of their product, whose power of
-    ``a`` is checked first: 3d - 2 on the zero side, 2 - 3d on the other."""
-    base = (("base", base_contribution(chain.degree)),) if side == "zero" else ()
-    trace = base + tuple(
-        (f"{side}.{label}", alpha_flip(m) if side == "infinity" else m)
-        for label, m in chain_factors(chain)
-    )
-    product = math.prod((m for _, m in trace), start=MONO_ONE)
-    expected = 3 * chain.degree - 2 if side == "zero" else 2 - 3 * chain.degree
+def _chain_record(chain: Chain) -> tuple:
+    """``((zero_trace, zero_coeff), (infinity_trace, infinity_coeff))`` of
+    one chain of degree d: the labelled :func:`chain_factors` prefixed
+    ``zero.`` and led by the ``base`` factor, and prefixed ``infinity.`` and
+    flipped a -> -a, each with the coefficient of its product.  The power
+    of ``a`` of the factors' product P is checked first, once: 2 - 3d, so
+    base * P has power 3d - 2 and flip(P) keeps 2 - 3d."""
+    factors = chain_factors(chain)
+    product = math.prod((m for _, m in factors), start=MONO_ONE)
+    expected = 2 - 3 * chain.degree
     if product.power != expected:
-        lines = "\n".join(f"  {label} = {value}" for label, value in trace)
+        lines = "\n".join(f"  {label} = {value}" for label, value in factors)
         raise DegreeZeroViolation(
-            f"{side} side of chain {chain.describe()} has power {product.power}, "
+            f"chain {chain.describe()} has power {product.power}, "
             f"expected {expected}; trace:\n{lines}"
         )
-    return trace, product.coeff
+    base = base_contribution(chain.degree)
+    zero = (("base", base),) + tuple((f"zero.{label}", m) for label, m in factors)
+    infinity = tuple((f"infinity.{label}", alpha_flip(m)) for label, m in factors)
+    return (zero, base.coeff * product.coeff), (infinity, alpha_flip(product).coeff)
 
 
 def configuration_contribution(cfg: Configuration) -> ConfigurationReport:
     """Labeled factor trace and degree-zero total of one configuration."""
-    zero_trace, zero_coeff = _side_record(cfg.chain_zero, "zero")
-    infinity_trace, infinity_coeff = _side_record(cfg.chain_infinity, "infinity")
+    (zero_trace, zero_coeff), _ = _chain_record(cfg.chain_zero)
+    _, (infinity_trace, infinity_coeff) = _chain_record(cfg.chain_infinity)
     return ConfigurationReport(
         cfg, zero_trace + infinity_trace, AlphaMonomial(zero_coeff * infinity_coeff)
     )
@@ -194,16 +188,9 @@ def multiple_cover_invariant(d: int, *, method: str = "factored") -> Fraction:
     if d < 2:
         raise UnsupportedDegreeError(f"degree must be at least 2, got {d}")
     if method == "factored":
-        base = base_contribution(d)
-        if base.power != 6 * d - 4:
-            raise DegreeZeroViolation(
-                f"degree-{d} base factor has power {base.power}, expected {6 * d - 4}"
-            )
         s0 = side_sum(d, "zero")
-        return (base * s0 * alpha_flip(s0)).coeff
+        return (base_contribution(d) * s0 * alpha_flip(s0)).coeff
     if method != "pairwise":
         raise ValueError(f"unknown method {method!r}")
-    chains = enumerate_chains(d)
-    zero = [_side_record(chain, "zero")[1] for chain in chains]
-    infinity = [_side_record(chain, "infinity")[1] for chain in chains]
-    return sum(z * i for z in zero for i in infinity)
+    records = [_chain_record(chain) for chain in enumerate_chains(d)]
+    return sum(z * i for (_, z), _ in records for _, (_, i) in records)

@@ -42,7 +42,7 @@ def cold_caches():
     localize._row_products.cache_clear()
     localize.step_factors.cache_clear()
     contributions._harmonic.cache_clear()
-    localize._side_record.cache_clear()
+    localize._chain_record.cache_clear()
     exact._stage1.cache_clear()
 
 

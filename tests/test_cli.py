@@ -172,6 +172,16 @@ def test_verify_detects_perturbed_table(tmp_path, capsys):
     assert lines[1].startswith("d=3 FAIL")
 
 
+def test_verify_prints_long_expected_row_factored(tmp_path, capsys):
+    # 2^20000 has 6021 digits, past the interpreter's int-to-str limit
+    table = tmp_path / "table.txt"
+    table.write_text("2\t2^20000\n", encoding="utf-8")
+    code, out, err = run(capsys, "verify", "--max-degree", "2", "--table", str(table))
+    assert code == 1
+    assert out == "d=2 FAIL computed=-1/200 expected=2^20000\n"
+    assert err == ""
+
+
 def test_verify_range_check(capsys):
     code, _, err = run(capsys, "verify", "--max-degree", "10")
     assert code == 2
@@ -326,14 +336,14 @@ def test_state_count_at_degree_ten():
 
 def test_side_records_at_degree_five():
     # 37 chains per side at degree 5: the breakdown and the pairwise sum each
-    # trace and multiply a chain once per side, not once per configuration
+    # trace and multiply a chain once for both sides, not once per configuration
     for evaluate in (
         lambda: _print_breakdown(5, io.StringIO()),
         lambda: multiple_cover_invariant(5, method="pairwise"),
     ):
-        localize._side_record.cache_clear()
+        localize._chain_record.cache_clear()
         evaluate()
-        assert localize._side_record.cache_info().misses == 2 * 37
+        assert localize._chain_record.cache_info().misses == 37
 
 
 def test_breakdown_records_match_configuration_contribution():

@@ -257,6 +257,14 @@ def test_parse_accepts_unparenthesized_numerator():
     assert parse_factored("5^2*43^2/(3^13*7^2)") == Fraction(5**2 * 43**2, 3**13 * 7**2)
 
 
+def test_parse_accepts_noncanonical_forms():
+    # the grammar admits an explicit exponent 1 and a parenthesized
+    # one-factor numerator; format_factored writes neither
+    for text, value, canonical in (("2^1", 2, "2"), ("(2)/(3)", Fraction(2, 3), "2/(3)")):
+        assert parse_factored(text) == value
+        assert format_factored(value) == canonical
+
+
 @pytest.mark.parametrize(
     "text, fragment",
     [
@@ -275,6 +283,7 @@ def test_parse_accepts_unparenthesized_numerator():
         ("２", "base"),
         ("2²", "base"),
         ("1/()", "empty product"),
+        pytest.param("7" * 5000, "5000 digits", id="7x5000-digits"),
     ],
 )
 def test_parse_errors_name_offender(text, fragment):

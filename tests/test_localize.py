@@ -13,7 +13,6 @@ from multicover import localize
 from multicover.cli import _print_breakdown
 from multicover.contributions import (
     _step_coefficient,
-    base_contribution,
     end_contribution,
     node_smoothing,
     psi_integral,
@@ -81,14 +80,17 @@ def assert_oracle_agrees(degrees):
 
 
 def assert_step_coefficients_agree(degrees):
-    """:func:`_step_coefficient` against the coefficient and power of the
-    :func:`step_factors` product, for every admitted kind of each degree;
-    CI runs this past tier-1's range like :func:`assert_oracle_agrees`."""
+    """:func:`_step_coefficient` against the coefficient of the
+    :func:`step_factors` product, whose power must be 3*out - 3m + 1 on a
+    ruled row and 3 - 3m on an end row (the power the state sum assumes),
+    for every admitted kind of each degree m; CI runs this past tier-1's
+    range like :func:`assert_oracle_agrees`."""
     for m in degrees:
         for contact in Contact:
             for kind in _step_candidates(contact, m):
                 expected = product(f for _, f in step_factors(kind))
-                assert _step_coefficient(kind) == (expected.coeff, expected.power), kind
+                power = 3 - 3 * m if kind.is_end_bubble else 3 * kind.outgoing_exponent - 3 * m + 1
+                assert (_step_coefficient(kind), expected.power) == (expected.coeff, power), kind
 
 
 # sha256 over the lines f"{d}\t{N_d}\n" for d = 2..60, the plain cap
@@ -262,55 +264,11 @@ def test_low_degree_propagates():
         side_sum(1, "zero")
 
 
-def test_nonzero_invariant_power_rejected(monkeypatch):
-    monkeypatch.setattr(localize, "base_contribution", lambda d: mono(1, 1))
-    with pytest.raises(DegreeZeroViolation):
-        multiple_cover_invariant(2)
-
-
-def test_wrong_row_power_names_kind(monkeypatch):
-    kind = next(
-        k for k, _, nxt in successors(Contact.P0, 4, F(-1, 4)) if nxt is not None
-    )
-    expected = 3 * kind.outgoing_exponent - 3 * 4 + 1
-
-    def skewed(k):  # an extra a^1 on one kind
-        coeff, power = _step_coefficient(k)
-        return coeff, power + (k == kind)
-
-    monkeypatch.setattr(localize, "_step_coefficient", skewed)
-    # the checked row products and the sums built from them are cached
-    localize._row_products.cache_clear()
-    localize._state_sum.cache_clear()
-    try:
-        with pytest.raises(DegreeZeroViolation) as excinfo:
-            multiple_cover_invariant(4)
-    finally:
-        localize._row_products.cache_clear()
-        localize._state_sum.cache_clear()
-    message = str(excinfo.value)
-    assert kind.describe() in message
-    assert f"power {expected + 1}, expected {expected}" in message
-
-
-def test_wrong_base_power_names_base(monkeypatch):
-    base_contribution = localize.base_contribution
-    monkeypatch.setattr(localize, "base_contribution", lambda d: base_contribution(d) * mono(1, 1))
-    with pytest.raises(DegreeZeroViolation) as excinfo:
-        multiple_cover_invariant(3)
-    assert str(excinfo.value) == "degree-3 base factor has power 15, expected 14"
-
-
-# each per-configuration entry point, and the side it reports when chain 2
-# of degree 3 gets a wrong power: configuration 6 pairs chains 1 and 2, so
-# its zero side passes and its infinity side is reported, while the pairwise
-# sum and the breakdown check every zero side before any infinity side
-@pytest.mark.parametrize(
-    "entry, side",
-    [("configuration", "infinity"), ("pairwise", "zero"), ("breakdown", "zero")],
-    ids=["configuration", "pairwise", "breakdown"],
-)
-def test_nonzero_side_power_names_configuration(monkeypatch, entry, side):
+# each per-configuration entry point names chain 2 of degree 3 when its
+# factors get a wrong power; configuration 6 pairs chains 1 and 2, so chain
+# 2 is its infinity side and the zero side's chain passes
+@pytest.mark.parametrize("entry", ["configuration", "pairwise", "breakdown"])
+def test_nonzero_side_power_names_configuration(monkeypatch, entry):
     cfg = enumerate_configurations(3)[6]
     target = cfg.chain_infinity
     assert cfg.chain_zero != target
@@ -327,23 +285,17 @@ def test_nonzero_side_power_names_configuration(monkeypatch, entry, side):
         "pairwise": lambda: multiple_cover_invariant(3, method="pairwise"),
         "breakdown": lambda: _print_breakdown(3, out),
     }[entry]
-    # the side records are cached (and cli holds its own name for them), so
+    # the chain records are cached (and cli holds its own name for them), so
     # the cache is cleared for the skewed factors to be traced at all
-    localize._side_record.cache_clear()
+    localize._chain_record.cache_clear()
     try:
         with pytest.raises(DegreeZeroViolation) as excinfo:
             evaluate()
     finally:
-        localize._side_record.cache_clear()
-    expected = 7 if side == "zero" else -7
-    trace = [f"  base = {base_contribution(3)}"] if side == "zero" else []
-    trace += [
-        f"  {side}.{label} = {alpha_flip(m) if side == 'infinity' else m}"
-        for label, m in real_chain_factors(target) + bump
-    ]
+        localize._chain_record.cache_clear()
+    trace = [f"  {label} = {m}" for label, m in real_chain_factors(target) + bump]
     assert str(excinfo.value) == (
-        f"{side} side of chain {target.describe()} has power {expected + 1}, "
-        f"expected {expected}; trace:\n" + "\n".join(trace)
+        f"chain {target.describe()} has power -6, expected -7; trace:\n" + "\n".join(trace)
     )
     assert out.getvalue() == ""  # a breakdown raises before its first record
 
