@@ -33,9 +33,9 @@ chain.  The whole row model is one table and one rule:
 
 A row whose attaching node has zero smoothing weight is the broken limit
 of a family locus (the node deformation is the family direction), whose
-integral counts it.  :func:`successors`, the chain walker, drops it, and
-the state sum of :mod:`localize`, which reads :func:`_walker_rows`
-directly, drops it as a zero denominator.
+integral counts it.  :func:`successors`, the chain walker, drops it.  The
+state table of :mod:`localize` reads :func:`_walker_rows` directly into
+its bubble records, and a state's sum drops the row as a zero denominator.
 """
 
 from __future__ import annotations

@@ -13,24 +13,32 @@ Every configuration multiplies out to a degree-zero monomial -- a pure
 number -- and the invariant is their exact sum.  Because the factors are
 side-local, that sum equals base * S * flip(S) with S the one-sided sum,
 and because a step's factors depend only on its kind and the incoming
-node weight, S is a memoized sum over the (contact, degree, weight) states
-of the chain automaton: the default path, polynomial in d.  Only a row's
-node smoothing 1/(w + w_in) depends on the incoming weight w, so
-:func:`_row_products` builds each row's coefficient times its tail sum once
-per bubble (contact, degree), over one common denominator.  A state then
-adds them over small integer smoothing denominators, reduced to one
-``Fraction`` per state, and drops a row whose denominator is zero.  The
-state sum carries no power of ``a``: a row's power is fixed by its kind, so
-every degree-m state's sum has power 2 - 3m by construction.  Chains are
-enumerated one by one, through :func:`fixedpoints.successors`, only for
-``--breakdown`` and for the configuration-by-configuration cross-check,
-which keeps the monomial arithmetic.  Each chain is traced and multiplied
-once, from :func:`chain_factors` and not from :func:`_row_products`, so the
-cross-check shares only the row model with the state sum.  That product's
-power of ``a`` is the one power checked at run time: it must be 2 - 3d, and
-a wrong one names the chain.  Both sides' records come from it, the zero
-side led by the base factor and the infinity side flipped a -> -a, so a
-configuration costs one product of two plain coefficients.
+node weight, S is a sum over the (contact, degree, weight) states of the
+chain automaton: the default path, polynomial in d.  The states live in
+one explicit table, :data:`_TABLE`, kept across degrees.
+:func:`_fill_table` builds its bubble records (contact, m) in increasing
+m, every bubble below d and then the root (P0, d), so a row's tail is a
+state of a lower bubble that is already built, and no evaluation recurses.
+Only a row's node smoothing 1/(w + w_in) depends on the incoming weight
+w, so a bubble's record holds each row's coefficient times its tail sum,
+built once, over one common denominator.  A state's sum is stored in its
+bubble's record the first time a row or the root asks for it: it adds the
+row products over small integer smoothing denominators, reduced to one
+``Fraction``, and drops a row whose denominator is zero.  Building every
+bubble below d also builds some that the root does not reach, such as
+(P0, d - 1), so a cold degree 10 holds 157 states where 146 are reached.
+The state sum carries no power of ``a``: a row's power is fixed by its
+kind, so every degree-m state's sum has power 2 - 3m by construction.
+
+Chains are enumerated one by one, through :func:`fixedpoints.successors`,
+only for ``--breakdown`` and for the configuration-by-configuration
+cross-check, which keeps the monomial arithmetic.  Each chain is traced
+and multiplied once, from :func:`chain_factors` and not from the table, so
+the cross-check shares only the row model with the state sum.  That
+product's power of ``a`` is the one power checked at run time: it must be
+2 - 3d, and a wrong one names the chain.  Both sides' records come from
+it, the zero side led by the base factor and the infinity side flipped
+a -> -a, so a configuration costs one product of two plain coefficients.
 """
 
 from __future__ import annotations
@@ -39,7 +47,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 from .contributions import _step_coefficient, base_contribution, node_smoothing, step_factors
 from .exact import MONO_ONE, AlphaMonomial, alpha_flip
@@ -100,38 +108,37 @@ def chain_factors(chain: Chain) -> Tuple[Tuple[str, AlphaMonomial], ...]:
     return tuple(factors)
 
 
-@lru_cache(maxsize=None)
-def _row_products(contact: Contact, m: int) -> Tuple[tuple, int]:
-    """``(rows, L)`` for a degree-m bubble met at ``contact``: per row of
-    :func:`fixedpoints._walker_rows`, ``(a, b, n * b)`` with w_in = a/b and
-    c * tail = n/L, c the kind's :func:`_step_coefficient` (the
-    coefficient of its :func:`step_factors` product) and tail the sum from
-    its next state (1 for an end map)."""
-    products = []
-    for _, (kind, w_in, nxt) in _walker_rows(contact, m):
-        tail = 1 if nxt is None else _state_sum(*nxt)
-        products.append((w_in, _step_coefficient(kind) * tail))
-    L = math.lcm(*(c.denominator for _, c in products))
-    rows = tuple(
-        (w_in.numerator, w_in.denominator, c.numerator * (L // c.denominator) * w_in.denominator)
-        for w_in, c in products
-    )
-    return rows, L
+# The state table, kept across degrees.  Per bubble (contact, m): ``(rows, L, sums)``, a row
+# ``(a, b, n * b)`` per _walker_rows row, w_in = a/b and c * tail = n/L (c its _step_coefficient,
+# tail 1 or its next state's sum), and ``sums`` each asked state's sum, keyed w = p/q as (p, q).
+_TABLE: Dict[Tuple[Contact, int], tuple] = {}
 
 
-@lru_cache(maxsize=None)
-def _state_sum(contact: Contact, m: int, w: Fraction) -> Fraction:
-    """Coefficient of the sum over the chain tails from the state
-    ``(contact, m, w)``, whose power of ``a`` is 2 - 3m: each row of
-    :func:`_row_products` adds c * tail / (w + w_in) = n*b*q / (L*s), with
-    w = p/q and s = p*b + a*q a small integer, over M, the lcm of the s,
-    reduced once.  A row with s == 0 has zero smoothing weight (a broken
-    limit of a family locus) and is dropped."""
-    rows, L = _row_products(contact, m)
+def _fill_table(d: int) -> None:
+    """Build the missing records of every bubble below degree d, then of the
+    root (P0, d), in increasing m: each row's tail state is in a lower bubble."""
+    bubbles = [(c, m) for m in range(2, d) for c in Contact] + [(Contact.P0, d)]
+    for contact, m in [bubble for bubble in bubbles if bubble not in _TABLE]:
+        products = []
+        for _, (kind, w_in, nxt) in _walker_rows(contact, m):
+            tail = 1 if nxt is None else _table_sum(*nxt)
+            products.append((w_in.numerator, w_in.denominator, _step_coefficient(kind) * tail))
+        L = math.lcm(*(c.denominator for _, _, c in products))
+        rows = tuple((a, b, c.numerator * (L // c.denominator) * b) for a, b, c in products)
+        _TABLE[contact, m] = (rows, L, {})
+
+
+def _table_sum(contact: Contact, m: int, w: Fraction) -> Fraction:
+    """Sum from the state ``(contact, m, w)``, kept on first ask: row by row,
+    c * tail / (w + w_in) = n*b*q / (L*s) with w = p/q and s = p*b + a*q, over
+    M = lcm of the s, reduced once; s == 0 (zero smoothing weight) drops a row."""
+    rows, L, sums = _TABLE[contact, m]
     p, q = w.numerator, w.denominator
-    terms = [(nb, s) for a, b, nb in rows if (s := p * b + a * q)]
-    M = math.lcm(*(s for _, s in terms))
-    return Fraction(q * sum(nb * (M // s) for nb, s in terms), L * M)
+    if (p, q) not in sums:
+        terms = [(nb, s) for a, b, nb in rows if (s := p * b + a * q)]
+        M = math.lcm(*(s for _, s in terms))
+        sums[p, q] = Fraction(q * sum(nb * (M // s) for nb, s in terms), L * M)
+    return sums[p, q]
 
 
 @lru_cache(maxsize=None)
@@ -173,7 +180,8 @@ def side_sum(d: int, side: str) -> AlphaMonomial:
         raise ValueError(f"side must be 'zero' or 'infinity', got {side!r}")
     if d < 2:
         raise UnsupportedDegreeError(f"degree must be at least 2, got {d}")
-    total = AlphaMonomial(_state_sum(Contact.P0, d, base_tangent_weight(d)), 2 - 3 * d)
+    _fill_table(d)
+    total = AlphaMonomial(_table_sum(Contact.P0, d, base_tangent_weight(d)), 2 - 3 * d)
     return alpha_flip(total) if side == "infinity" else total
 
 

@@ -38,8 +38,7 @@ def report(number, ok, detail):
 
 def cold_caches():
     fixedpoints._walker_rows.cache_clear()
-    localize._state_sum.cache_clear()
-    localize._row_products.cache_clear()
+    localize._TABLE.clear()
     localize.step_factors.cache_clear()
     contributions._harmonic.cache_clear()
     localize._chain_record.cache_clear()
@@ -51,6 +50,7 @@ def test_cold_caches_clears_every_cache():
     multiple_cover_invariant(3)
     configuration_contribution(enumerate_configurations(2)[0])
     exact.factorize(1000003 * 1000033)
+    assert localize._TABLE
     cold_caches()
     caches = {
         f"{module.__name__}.{name}": value
@@ -59,8 +59,10 @@ def test_cold_caches_clears_every_cache():
         for name, value in vars(module).items()
         if hasattr(value, "cache_info")
     }
-    assert "multicover.localize._state_sum" in caches
+    assert "multicover.localize._chain_record" in caches
     sizes = {name: f.cache_info().currsize for name, f in caches.items()}
+    # the state table is a plain dict, with no cache_info to find it by
+    sizes["multicover.localize._TABLE"] = len(localize._TABLE)
     assert {name: size for name, size in sizes.items() if size} == {}
 
 

@@ -13,8 +13,8 @@ import pytest
 
 import multicover
 from multicover import localize
-from multicover.cli import _print_breakdown, load_reference_table, main
-from multicover.exact import parse_factored
+from multicover.cli import _print_breakdown, _row_equals, load_reference_table, main
+from multicover.exact import FactoredRational, parse_factored
 from multicover.fixedpoints import enumerate_configurations
 from multicover.localize import configuration_contribution, multiple_cover_invariant
 
@@ -182,6 +182,42 @@ def test_verify_prints_long_expected_row_factored(tmp_path, capsys):
     assert err == ""
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        *("-1/(2^3*5^2)", "1/(2^3*5^2)", "-1/(2^3*5^3)", "-1/(2^3*5)", "-3/(2^3*5^2)"),
+        *("-1/(2^3)", "-1", "(2^1000*3^500)/(5^300)", "2^1001/(5^300)", "2^99999"),
+    ],
+)
+def test_row_equals_matches_expanded_value(text):
+    # the size test in front of the expansion never rejects an equal row
+    row = FactoredRational.from_text(text)
+    big = Fraction(2**1000 * 3**500, 5**300)
+    for q in (Fraction(-1, 200), Fraction(1, 200), Fraction(-3, 200), Fraction(-1, 8), big, -big):
+        assert _row_equals(row, q) == (row.value() == q), (text, q)
+
+
+def test_verify_never_expands_a_huge_row(tmp_path):
+    # expanding 2^99999999999 takes about 12.5 GB; the child runs under a
+    # 1 GiB address-space cap, so a verify that expands the row fails here
+    # with a MemoryError instead of exhausting the machine
+    import resource
+
+    table = tmp_path / "table.txt"
+    table.write_text("2\t2^99999999999\n", encoding="utf-8")
+    cap = 1 << 30
+    done = subprocess.run(
+        [*CLI, "verify", "--max-degree", "2", "--table", str(table)],
+        capture_output=True,
+        env=CLI_ENV,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        timeout=60,
+    )
+    assert done.stderr == b""
+    assert done.returncode == 1
+    assert done.stdout == b"d=2 FAIL computed=-1/200 expected=2^99999999999\n"
+
+
 def test_verify_range_check(capsys):
     code, _, err = run(capsys, "verify", "--max-degree", "10")
     assert code == 2
@@ -327,11 +363,10 @@ def test_golden_stdout(capsys, argv, digest):
 
 
 def test_state_count_at_degree_ten():
-    # the README's "146 states at degree 10"
-    localize._state_sum.cache_clear()
-    localize._row_products.cache_clear()
+    # the README's "157 states at degree 10", read from the state table
+    localize._TABLE.clear()
     multiple_cover_invariant(10)
-    assert localize._state_sum.cache_info().currsize == 146
+    assert sum(len(sums) for _, _, sums in localize._TABLE.values()) == 157
 
 
 def test_side_records_at_degree_five():

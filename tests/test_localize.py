@@ -96,12 +96,33 @@ def assert_step_coefficients_agree(degrees):
 # sha256 over the lines f"{d}\t{N_d}\n" for d = 2..60, the plain cap
 VALUES_DIGEST = "a1381674b5601d233554889024a0695fd4340e01a5c8bf450f2852957490ba72"
 
+# states in the table after a cold degree d: every bubble below d is built,
+# so bubbles the root does not reach, such as (P0, d - 1), add a few
+STATE_COUNTS = {10: 157, 20: 802, 40: 3592, 60: 8382}
 
-def assert_values_digest():
-    """Every plain value up to the cap against :data:`VALUES_DIGEST`; CI
-    runs this beside :func:`assert_oracle_agrees`."""
-    lines = "".join(f"{d}\t{multiple_cover_invariant(d)}\n" for d in range(2, 61))
+
+def cold_values(degrees):
+    """The invariants at ``degrees``, evaluated in that order from an empty
+    state table."""
+    localize._TABLE.clear()
+    return [multiple_cover_invariant(d) for d in degrees]
+
+
+def assert_values_digest(degrees=range(2, 61)):
+    """Every plain value up to the cap against :data:`VALUES_DIGEST`,
+    evaluated in the order of ``degrees`` from a cold table; CI runs this
+    ascending and descending beside :func:`assert_oracle_agrees`."""
+    values = dict(zip(degrees, cold_values(degrees)))
+    assert sorted(values) == list(range(2, 61))
+    lines = "".join(f"{d}\t{values[d]}\n" for d in sorted(values))
     assert hashlib.sha256(lines.encode()).hexdigest() == VALUES_DIGEST
+
+
+def assert_state_count(d):
+    """The table's state count after a cold degree d, against
+    :data:`STATE_COUNTS`; CI runs this at d = 60."""
+    cold_values([d])
+    assert sum(len(sums) for _, _, sums in localize._TABLE.values()) == STATE_COUNTS[d], d
 
 
 def find_config(d, zero_shape, inf_shape):
@@ -198,6 +219,37 @@ def test_state_sum_matches_chain_enumeration(d):
 def test_state_sum_matches_monomial_oracle():
     # memo states are shared across degrees, so d = 10..20 costs about d = 20
     assert_oracle_agrees(range(10, 21))
+
+
+def test_call_order_does_not_change_values():
+    # the table keeps bubble records and state sums across degrees
+    nine = cold_values([9])
+    assert cold_values([20, 9])[1:] == nine
+    assert cold_values([60, 9])[1:] == nine
+    ascending = cold_values(range(2, 13))
+    assert cold_values(range(12, 1, -1)) == ascending[::-1]
+    assert ascending[7:8] == nine
+
+
+@pytest.mark.parametrize("d", [10, 20, 40])
+def test_state_count_ladder(d):
+    assert_state_count(d)
+
+
+def test_table_holds_every_reached_state():
+    # at a cold degree 10 the chain walker reaches 146 states from the root;
+    # the table's other 11 lie in bubbles the root never enters, like (P0, 9)
+    seen = set()
+    todo = [(Contact.P0, 10, base_tangent_weight(10))]
+    while todo:
+        state = todo.pop()
+        if state not in seen:
+            seen.add(state)
+            todo.extend(nxt for _, _, nxt in successors(*state) if nxt is not None)
+    cold_values([10])
+    table = {(c, m, F(*w)) for (c, m), (_, _, sums) in localize._TABLE.items() for w in sums}
+    assert seen <= table
+    assert (len(seen), len(table - seen)) == (146, 11)
 
 
 def test_step_coefficient_matches_factor_product():
