@@ -296,10 +296,10 @@ def _int_nth_root(n: int, e: int) -> int:
 def _perfect_power(n: int):
     """Return (root, e) with root**e == n and e prime (e == 1 if none).
 
-    Only prime exponents are tried: the caller factors the root, which
-    finds any further power.  n has no prime factor in ``_TRIAL_PRIMES``,
-    so e <= n.bit_length() / 13 and the trial primes hold every candidate
-    for n below ~130000 bits.
+    Only prime exponents are tried: the root goes back on ``factorize``'s
+    list, which finds any further power.  n has no prime factor in
+    ``_TRIAL_PRIMES``, so e <= n.bit_length() / 13 and the trial primes
+    hold every candidate for n below ~130000 bits.
     """
     for e in _TRIAL_PRIMES:
         if e > n.bit_length():
@@ -310,37 +310,20 @@ def _perfect_power(n: int):
     return n, 1
 
 
-def _factor_into(n: int, out: dict) -> None:
-    if n == 1:
-        return
-    if is_prime(n):
-        out[n] = out.get(n, 0) + 1
-        return
-    root, e = _perfect_power(n)
-    if e > 1:
-        sub: dict = {}
-        _factor_into(root, sub)
-        for p, m in sub.items():
-            out[p] = out.get(p, 0) + m * e
-        return
-    d = _ecm(n)
-    _factor_into(d, out)
-    _factor_into(n // d, out)
-
-
 def factorize(n: int) -> list:
     """Prime factorization of n >= 1 as a sorted list of (prime, exponent).
 
-    Trial division by primes below 10^4 first; larger cofactors are split
-    by perfect-power extraction and Lenstra's elliptic-curve method (ECM),
-    and Miller-Rabin tests every piece.  An ECM curve runs stage 1 to B1,
-    then a stage 2 that pairs the primes in (B1, 100*B1] as m*2310 +- j at
-    one product per pair.  ECM's cost grows subexponentially with the
-    second-largest prime factor of a cofactor, not with its size: the
-    d = 11 invariant's 438938983141369 (~4.4e14) splits off in about 0.6 s.
-    Pieces above ~3.3e24 are probable primes (Miller-Rabin with 25 fixed
-    bases), not proven ones.  The result is deterministic: the curves for a
-    cofactor n are drawn from ``random.Random(n)``.
+    Trial division by primes below 10^4 first, then a list of pending
+    (cofactor, multiplicity k) pairs: Miller-Rabin tests each, a prime adds k
+    to its exponent, a perfect power root**e returns as (root, k*e), and
+    Lenstra's elliptic-curve method (ECM) splits the rest in two.  An ECM
+    curve runs stage 1 to B1, then a stage 2 that pairs the primes in
+    (B1, 100*B1] as m*2310 +- j at one product per pair.  ECM's cost grows
+    subexponentially with the second-largest prime factor of a cofactor, not
+    with its size: the d = 11 invariant's 438938983141369 (~4.4e14) splits off
+    in about 0.6 s.  Pieces above ~3.3e24 are probable primes (Miller-Rabin
+    with 25 fixed bases), not proven ones.  The curves for a cofactor n come
+    from ``random.Random(n)``, so the result is deterministic.
     """
     if n < 1:
         raise ValueError("factorize expects a positive integer")
@@ -351,8 +334,18 @@ def factorize(n: int) -> list:
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-    if n > 1:
-        _factor_into(n, out)
+    pending = [(n, 1)] if n > 1 else []
+    while pending:
+        n, k = pending.pop()
+        if is_prime(n):
+            out[n] = out.get(n, 0) + k
+            continue
+        root, e = _perfect_power(n)
+        if e > 1:
+            pending.append((root, k * e))
+            continue
+        d = _ecm(n)
+        pending += [(d, k), (n // d, k)]
     return sorted(out.items())
 
 

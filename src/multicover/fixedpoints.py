@@ -329,21 +329,21 @@ def successors(contact: Contact, m: int, w: Fraction) -> Iterator[tuple]:
             yield row
 
 
-def _extend(prefix: tuple, state: tuple, out: list):
-    for kind, _, nxt in successors(*state):
-        if nxt is None:
-            out.append(Chain(prefix + (kind,)))
-        else:
-            _extend(prefix + (kind,), nxt, out)
-
-
 def enumerate_chains(d: int) -> list:
     """All bubble chains over one fixed point for a degree-d cover, in the
-    stable sort order (chain length, then per-step row keys)."""
+    stable sort order (chain length, then per-step row keys).  The walk
+    pops ``(prefix, state)`` pairs off one list; an end row ends a chain."""
     if d < 2:
         raise UnsupportedDegreeError(f"degree must be at least 2, got {d}")
     out: list = []
-    _extend((), (Contact.P0, d, base_tangent_weight(d)), out)
+    pending = [((), (Contact.P0, d, base_tangent_weight(d)))]
+    while pending:
+        prefix, state = pending.pop()
+        for kind, _, nxt in successors(*state):
+            if nxt is None:
+                out.append(Chain(prefix + (kind,)))
+            else:
+                pending.append((prefix + (kind,), nxt))
     out.sort(key=Chain._sort_key)
     return out
 

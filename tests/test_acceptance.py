@@ -4,10 +4,12 @@ Run with ``pytest -s tests/test_acceptance.py`` to see the lines; every
 comparison is exact rational equality, with the stated runtime budgets.
 """
 
+import ast
 import random
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 from multicover import contributions, exact, fixedpoints, localize
 from multicover.cli import load_reference_table
@@ -72,6 +74,27 @@ def test_plain_path_fills_no_step_factors_cache():
     cold_caches()
     multiple_cover_invariant(20)
     assert contributions.step_factors.cache_info().currsize == 0
+
+
+def test_no_library_function_calls_itself():
+    # pending work lives in explicit data (the state table, the lists of
+    # the chain walk and the factorizer), not in the frames of a recursion
+    selves = []
+    for path in sorted(Path(localize.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for call in ast.walk(fn):
+                if not isinstance(call, ast.Call):
+                    continue
+                callee = call.func
+                if isinstance(callee, ast.Attribute) and isinstance(callee.value, ast.Name):
+                    by_name = callee.value.id in ("self", "cls") and callee.attr == fn.name
+                else:
+                    by_name = isinstance(callee, ast.Name) and callee.id == fn.name
+                if by_name:
+                    selves.append(f"{path.name}:{call.lineno} {fn.name}")
+    assert selves == []
 
 
 def best_time(fn, repeats=5):

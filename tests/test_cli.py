@@ -248,9 +248,10 @@ def test_verify_range_capped_like_compute(tmp_path, capsys):
 def test_verify_missing_row(tmp_path, capsys):
     table = tmp_path / "table.txt"
     table.write_text("2\t-1/(2^3*5^2)\n", encoding="utf-8")
-    code, _, err = run(capsys, "verify", "--max-degree", "3", "--table", str(table))
+    code, out, err = run(capsys, "verify", "--max-degree", "4", "--table", str(table))
     assert code == 2
-    assert "no row for d=3" in err
+    assert out == ""  # the range is checked before d = 2 is evaluated
+    assert err == "table has no row for d=3\n"  # the lowest missing degree
 
 
 def test_malformed_table_rejected(tmp_path, capsys):
@@ -323,9 +324,9 @@ def test_table_row_field_count_rejected(tmp_path, capsys, row, fields):
 def test_shipped_table_shape():
     table = load_reference_table()
     assert sorted(table.rows) == list(range(2, 10))
-    assert table.value(2) == Fraction(-1, 200)
+    assert table.rows[2].value() == Fraction(-1, 200)
     # comments and blank lines are ignored by the loader
-    assert table.value(9).denominator % 3**96 == 0
+    assert table.rows[9].value().denominator % 3**96 == 0
 
 
 # sha256 of the stdout that refactors must keep byte-identical; change a

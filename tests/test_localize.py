@@ -3,6 +3,7 @@
 import functools
 import hashlib
 import io
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -123,6 +124,23 @@ def assert_state_count(d):
     :data:`STATE_COUNTS`; CI runs this at d = 60."""
     cold_values([d])
     assert sum(len(sums) for _, _, sums in localize._TABLE.values()) == STATE_COUNTS[d], d
+
+
+def assert_value_structure(degrees):
+    """For each d, N_d's denominator has no prime factor above 3d and
+    -d*N_d is the square of a rational; tier-1 takes d = 2..40, CI the rest
+    of the plain cap."""
+    for d in degrees:
+        value = multiple_cover_invariant(d)
+        den = value.denominator
+        for p in range(2, 3 * d + 1):
+            while den % p == 0:
+                den //= p
+        assert den == 1, d
+        square = -d * value
+        assert square > 0, d
+        for n in (square.numerator, square.denominator):
+            assert math.isqrt(n) ** 2 == n, d
 
 
 def find_config(d, zero_shape, inf_shape):
@@ -255,6 +273,10 @@ def test_table_holds_every_reached_state():
 def test_step_coefficient_matches_factor_product():
     # 4372 kinds; the row products of the state sum use only the closed form
     assert_step_coefficients_agree(range(2, 40))
+
+
+def test_value_structure_through_degree_forty():
+    assert_value_structure(range(2, 41))
 
 
 def test_values_beyond_the_table_match_frozen():
