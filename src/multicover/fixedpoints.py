@@ -27,7 +27,8 @@ chain.  The whole row model is one table and one rule:
   contact (the chain automaton) and the numerator n of the source action
   speed n / (m - e) of a degree-m bubble;
 * ``_row_refusal`` says why (contact, m, shape) is not a row, or None; it
-  validates kinds, and ``_step_candidates`` lists the shapes it admits.
+  validates kinds, and ``_step_candidates`` lists the shapes it admits:
+  families, then ``MonoH``, then ``MonoK``, each by ascending exponent.
   At ``P0``/``P1`` it refuses a ``MonoH`` with ``h == m (mod 2)`` (a limit
   of the family with ``k == (m+h)/2``) and, unless m == 2, ``MonoK(1)``.
 
@@ -36,6 +37,8 @@ of a family locus (the node deformation is the family direction), whose
 integral counts it.  :func:`successors`, the chain walker, drops it.  The
 state table of :mod:`localize` reads :func:`_walker_rows` directly into
 its bubble records, and a state's sum drops the row as a zero denominator.
+:func:`enumerate_chains` walks first in, first out, so chains leave it in
+the published order, by number of steps and then row by row, as found.
 """
 
 from __future__ import annotations
@@ -171,10 +174,6 @@ class FixedMapKind:
         """A map unramified at its far point ends the chain."""
         return self.outgoing_exponent == 1
 
-    def _sort_key(self) -> tuple:
-        shape_rank = {Family: 0, MonoH: 1, MonoK: 2}[type(self.shape)]
-        return (self.contact.value, shape_rank, self.degree, self.outgoing_exponent)
-
     def describe(self) -> str:
         body = repr(self.shape).replace(" ", "")  # Family(h=1,k=2), MonoK(k=2), ...
         tag = "end" if self.is_end_bubble else "ruled"
@@ -252,7 +251,8 @@ class Chain:
     steps: Tuple[FixedMapKind, ...]
 
     def __post_init__(self):
-        steps = self.steps
+        steps = tuple(self.steps)  # a list would make the chain unhashable
+        object.__setattr__(self, "steps", steps)
         if not steps:
             raise ValueError("a chain has at least one bubble")
         if steps[0].contact is not Contact.P0:
@@ -269,9 +269,6 @@ class Chain:
     @property
     def degree(self) -> int:
         return self.steps[0].degree
-
-    def _sort_key(self) -> tuple:
-        return (len(self.steps), tuple(s._sort_key() for s in self.steps))
 
     def describe(self) -> str:
         return " -> ".join(s.describe() for s in self.steps)
@@ -298,10 +295,10 @@ class Configuration:
 
 
 def _step_candidates(contact: Contact, m: int) -> Tuple[FixedMapKind, ...]:
-    """All fixed-map rows for a degree-m bubble met at the given contact:
-    per h a family or a MonoH, then the MonoK rows, as admitted."""
-    shapes = [s for h in range(1, m) for s in (Family(h, (m + h) // 2), MonoH(h))]
-    shapes += [MonoK(k) for k in range(1, m)]
+    """All fixed-map rows for a degree-m bubble met at the given contact: the
+    admitted families, then MonoH, then MonoK, each by ascending exponent."""
+    shapes = [Family(h, (m + h) // 2) for h in range(1, m)]
+    shapes += [MonoH(h) for h in range(1, m)] + [MonoK(k) for k in range(1, m)]
     return tuple(
         FixedMapKind(contact, m, s) for s in shapes if _row_refusal(contact, m, s) is None
     )
@@ -311,7 +308,7 @@ def _step_candidates(contact: Contact, m: int) -> Tuple[FixedMapKind, ...]:
 def _walker_rows(contact: Contact, m: int) -> Tuple[tuple, ...]:
     """Per row of :func:`_step_candidates`, ``(-w_in, (kind, w_in,
     next_state))``: everything :func:`successors` and the state sum need,
-    built once per (contact, m) instead of once per incoming weight."""
+    built once per (contact, m)."""
     rows = []
     for kind in _step_candidates(contact, m):
         w_in = source_tangent_weight(kind, NodeEnd.NODE_IN)
@@ -331,20 +328,19 @@ def successors(contact: Contact, m: int, w: Fraction) -> Iterator[tuple]:
 
 def enumerate_chains(d: int) -> list:
     """All bubble chains over one fixed point for a degree-d cover, in the
-    stable sort order (chain length, then per-step row keys).  The walk
-    pops ``(prefix, state)`` pairs off one list; an end row ends a chain."""
+    published order: by number of steps, then step by step in the row order
+    of :func:`_step_candidates`.  The walk takes ``(prefix, state)`` pairs
+    from one list in the order they join it; an end row ends a chain."""
     if d < 2:
         raise UnsupportedDegreeError(f"degree must be at least 2, got {d}")
     out: list = []
     pending = [((), (Contact.P0, d, base_tangent_weight(d)))]
-    while pending:
-        prefix, state = pending.pop()
+    for prefix, state in pending:
         for kind, _, nxt in successors(*state):
             if nxt is None:
                 out.append(Chain(prefix + (kind,)))
             else:
                 pending.append((prefix + (kind,), nxt))
-    out.sort(key=Chain._sort_key)
     return out
 
 

@@ -209,16 +209,13 @@ def test_end_flag_follows_outgoing_exponent():
 
 
 def test_listing_agrees_with_validation():
-    # a shape is a kind exactly when _step_candidates lists it: per h the
-    # families and the MonoH, then the MonoK rows
+    # a shape is a kind exactly when _step_candidates lists it, in the
+    # published row order: the families, then MonoH, then MonoK, each by
+    # ascending exponent
     for m in range(2, 13):
         for contact in Contact:
-            shapes = [
-                s
-                for h in range(m + 1)
-                for s in (*(Family(h, k) for k in range(m + 1)), MonoH(h))
-            ]
-            shapes += [MonoK(k) for k in range(m + 1)]
+            shapes = [Family(h, k) for h in range(m + 1) for k in range(m + 1)]
+            shapes += [MonoH(h) for h in range(m + 1)] + [MonoK(k) for k in range(m + 1)]
             admitted = []
             for shape in shapes:
                 try:
@@ -320,9 +317,26 @@ def test_family_boundaries_are_excluded():
     assert len(found) == 1
 
 
+def published_order_key(chain):
+    """The key whose sort order --breakdown and method="pairwise" publish:
+    number of steps, then per step (contact, shape rank, degree, outgoing
+    exponent) with the families first, then MonoH, then MonoK."""
+    rank = {Family: 0, MonoH: 1, MonoK: 2}
+    return (
+        len(chain.steps),
+        tuple(
+            (s.contact.value, rank[type(s.shape)], s.degree, s.outgoing_exponent)
+            for s in chain.steps
+        ),
+    )
+
+
 def test_chain_counts_frozen():
-    counts = {d: len(enumerate_chains(d)) for d in range(2, 10)}
+    listings = {d: enumerate_chains(d) for d in range(2, 10)}
+    counts = {d: len(chains) for d, chains in listings.items()}
     assert counts == {2: 2, 3: 4, 4: 13, 5: 37, 6: 104, 7: 295, 8: 835, 9: 2364}
+    for chains in listings.values():
+        assert chains == sorted(chains, key=published_order_key)
 
 
 def test_degrees_strictly_decrease_along_chains():
@@ -356,3 +370,4 @@ def test_enumeration_halts_through_degree_twelve():
         chains = enumerate_chains(d)
         assert chains
         assert max(len(c.steps) for c in chains) < d
+        assert chains == sorted(chains, key=published_order_key)

@@ -21,6 +21,8 @@ from multicover.contributions import (
 )
 from multicover.exact import MONO_ONE, AlphaMonomial, alpha_flip
 from multicover.fixedpoints import (
+    Chain,
+    Configuration,
     Contact,
     Family,
     MonoH,
@@ -193,6 +195,16 @@ def test_trace_multiplies_to_total():
             assert isinstance(value, AlphaMonomial)
             product = product * value
         assert product == report.total
+
+
+def test_list_built_chain_gives_the_same_total():
+    # a chain built from a list of steps is the tuple-built chain: equal,
+    # equally hashed, and accepted by the per-chain record cache
+    tupled = enumerate_chains(2)[0]
+    listed = Chain(list(tupled.steps))
+    assert listed == tupled and hash(listed) == hash(tupled)
+    total = configuration_contribution(Configuration(2, listed, listed)).total
+    assert total == configuration_contribution(Configuration(2, tupled, tupled)).total
 
 
 def test_family_steps_traced_with_integral():
