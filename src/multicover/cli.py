@@ -19,7 +19,6 @@ import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from importlib import resources
 from typing import Dict, Optional
 
 from .exact import FactoredFormatError, FactoredRational, _parse_int, format_factored
@@ -43,7 +42,14 @@ class ReferenceTable:
     rows: Dict[int, FactoredRational]
 
 
-def _parse_table_text(data: bytes, source: str) -> ReferenceTable:
+def load_reference_table(path: Optional[str] = None) -> ReferenceTable:
+    """Parse the table at ``path``, or else ``data/reference_table.txt`` beside this module."""
+    source = path
+    if path is None:  # the shipped table, labelled by its file name
+        source = "reference_table.txt"
+        path = os.path.join(os.path.dirname(__file__), "data", source)
+    with open(path, "rb") as handle:
+        data = handle.read()
     rows: Dict[int, FactoredRational] = {}
     for lineno, raw in enumerate(data.splitlines(), 1):
         try:  # decoded line by line, so a byte that is not UTF-8 gets source:line too
@@ -60,22 +66,9 @@ def _parse_table_text(data: bytes, source: str) -> ReferenceTable:
             if d in rows:
                 raise FactoredFormatError(f"duplicate row for d={d}")
             rows[d] = FactoredRational.from_text(value_text)
-        except (ValueError, FactoredFormatError) as exc:
+        except ValueError as exc:
             raise FactoredFormatError(f"{source}:{lineno}: {exc}") from exc
     return ReferenceTable(rows)
-
-
-def load_reference_table(path: Optional[str] = None) -> ReferenceTable:
-    """Load the reference table (the shipped one when no path is given)."""
-    if path is None:
-        data = (
-            resources.files("multicover")
-            .joinpath("data/reference_table.txt")
-            .read_bytes()
-        )
-        return _parse_table_text(data, "reference_table.txt")
-    with open(path, "rb") as handle:
-        return _parse_table_text(handle.read(), path)
 
 
 def _print_breakdown(d: int, out) -> Fraction:

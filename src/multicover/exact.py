@@ -53,7 +53,7 @@ class AlphaMonomial:
         if coeff == 0:
             coeff, power = _ZERO, 0
         object.__setattr__(self, "coeff", coeff)
-        object.__setattr__(self, "power", int(power))
+        object.__setattr__(self, "power", operator.index(power))  # a float raises
 
     def __mul__(self, other: "AlphaMonomial") -> "AlphaMonomial":
         if isinstance(other, (int, Fraction)):
@@ -381,6 +381,8 @@ class FactoredRational:
         ):
             prev = 1
             for p, e in factors:
+                if not (isinstance(p, int) and isinstance(e, int)):
+                    raise ValueError(f"{name} factor {p!r}^{e!r} is not an integer power")
                 if not is_prime(p):
                     raise ValueError(f"{name} base {p} is not prime")
                 if e < 1:

@@ -27,7 +27,7 @@ chain.  The whole row model is one table and one rule:
   contact (the chain automaton) and the numerator n of the source action
   speed n / (m - e) of a degree-m bubble;
 * ``_row_refusal`` says why (contact, m, shape) is not a row, or None; it
-  validates kinds, and ``_step_candidates`` lists the shapes it admits:
+  validates kinds, and ``_step_candidates`` lists once the rows it admits:
   families, then ``MonoH``, then ``MonoK``, each by ascending exponent.
   At ``P0``/``P1`` it refuses a ``MonoH`` with ``h == m (mod 2)`` (a limit
   of the family with ``k == (m+h)/2``) and, unless m == 2, ``MonoK(1)``.
@@ -35,7 +35,7 @@ chain.  The whole row model is one table and one rule:
 A row whose attaching node has zero smoothing weight is the broken limit
 of a family locus (the node deformation is the family direction), whose
 integral counts it.  :func:`successors`, the chain walker, drops it.  The
-state table of :mod:`localize` reads :func:`_walker_rows` directly into
+state table of :mod:`localize` reads :func:`_step_candidates` directly into
 its bubble records, and a state's sum drops the row as a zero denominator.
 :func:`enumerate_chains` walks first in, first out, so chains leave it in
 the published order, by number of steps and then row by row, as found.
@@ -294,36 +294,30 @@ class Configuration:
         )
 
 
-def _step_candidates(contact: Contact, m: int) -> Tuple[FixedMapKind, ...]:
-    """All fixed-map rows for a degree-m bubble met at the given contact: the
-    admitted families, then MonoH, then MonoK, each by ascending exponent."""
+@lru_cache(maxsize=None)
+def _step_candidates(contact: Contact, m: int) -> Tuple[tuple, ...]:
+    """Every fixed-map row ``(kind, w_in, next_state)`` of a degree-m bubble met
+    at ``contact``, listed once: the families, then MonoH, then MonoK, each by
+    ascending exponent.  ``w_in`` is the row's incoming node weight, and
+    ``next_state`` is ``(*transition(kind), -w_in)``, or None for an end map."""
     shapes = [Family(h, (m + h) // 2) for h in range(1, m)]
     shapes += [MonoH(h) for h in range(1, m)] + [MonoK(k) for k in range(1, m)]
-    return tuple(
-        FixedMapKind(contact, m, s) for s in shapes if _row_refusal(contact, m, s) is None
-    )
-
-
-@lru_cache(maxsize=None)
-def _walker_rows(contact: Contact, m: int) -> Tuple[tuple, ...]:
-    """Per row of :func:`_step_candidates`, ``(-w_in, (kind, w_in,
-    next_state))``: everything :func:`successors` and the state sum need,
-    built once per (contact, m)."""
     rows = []
-    for kind in _step_candidates(contact, m):
-        w_in = source_tangent_weight(kind, NodeEnd.NODE_IN)
-        nxt = transition(kind)
-        rows.append((-w_in, (kind, w_in, None if nxt is None else (*nxt, -w_in))))
+    for s in shapes:
+        if _row_refusal(contact, m, s) is None:
+            kind = FixedMapKind(contact, m, s)
+            w_in = source_tangent_weight(kind, NodeEnd.NODE_IN)
+            nxt = transition(kind)
+            rows.append((kind, w_in, None if nxt is None else (*nxt, -w_in)))
     return tuple(rows)
 
 
 def successors(contact: Contact, m: int, w: Fraction) -> Iterator[tuple]:
-    """Kept rows ``(kind, w_in, next_state)`` of a degree-m bubble met at
-    ``contact`` through a node whose far side has weight ``w``; ``next_state``
-    is ``(*transition(kind), -w_in)``, or None for an end map."""
-    for neg_w_in, row in _walker_rows(contact, m):
-        if w != neg_w_in:  # else w + w_in == 0: a broken limit of a family locus
-            yield row
+    """The rows of :func:`_step_candidates` kept for a degree-m bubble met at
+    ``contact`` through a node whose far side has weight ``w``: all but those
+    with ``w + w_in == 0``, the broken limits of a family locus."""
+    neg_w = -w
+    return (row for row in _step_candidates(contact, m) if row[1] != neg_w)
 
 
 def enumerate_chains(d: int) -> list:

@@ -57,7 +57,7 @@ from .fixedpoints import (
     Contact,
     NodeEnd,
     UnsupportedDegreeError,
-    _walker_rows,
+    _step_candidates,
     base_tangent_weight,
     enumerate_chains,
     source_tangent_weight,
@@ -109,7 +109,7 @@ def chain_factors(chain: Chain) -> Tuple[Tuple[str, AlphaMonomial], ...]:
 
 
 # The state table, kept across degrees.  Per bubble (contact, m): ``(rows, L, sums)``, a row
-# ``(a, b, n * b)`` per _walker_rows row, w_in = a/b and c * tail = n/L (c its _step_coefficient,
+# ``(a, b, n * b)`` per _step_candidates row, w_in = a/b, c * tail = n/L (c its _step_coefficient,
 # tail 1 or its next state's sum), and ``sums`` each asked state's sum, keyed w = p/q as (p, q).
 _TABLE: Dict[Tuple[Contact, int], tuple] = {}
 
@@ -120,7 +120,7 @@ def _fill_table(d: int) -> None:
     bubbles = [(c, m) for m in range(2, d) for c in Contact] + [(Contact.P0, d)]
     for contact, m in [bubble for bubble in bubbles if bubble not in _TABLE]:
         products = []
-        for _, (kind, w_in, nxt) in _walker_rows(contact, m):
+        for kind, w_in, nxt in _step_candidates(contact, m):
             tail = 1 if nxt is None else _table_sum(*nxt)
             products.append((w_in.numerator, w_in.denominator, _step_coefficient(kind) * tail))
         L = math.lcm(*(c.denominator for _, _, c in products))

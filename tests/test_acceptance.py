@@ -39,7 +39,7 @@ def report(number, ok, detail):
 
 
 def cold_caches():
-    fixedpoints._walker_rows.cache_clear()
+    fixedpoints._step_candidates.cache_clear()
     localize._TABLE.clear()
     localize.step_factors.cache_clear()
     contributions._harmonic.cache_clear()

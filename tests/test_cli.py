@@ -3,10 +3,10 @@
 import hashlib
 import io
 import os
+import shutil
 import subprocess
 import sys
 from fractions import Fraction
-from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -23,6 +23,8 @@ FROZEN_D10 = (
     "-(19^2*61^2*79377601^2*58524074773^2*70797734099^2)"
     "/(2^69*5^57*7^2*11^2*23^2*29^2)"
 )
+# the shipped table, where the CLI opens it: beside cli.py
+SHIPPED_TABLE = Path(multicover.__file__).parent / "data" / "reference_table.txt"
 
 
 def run(capsys, *argv):
@@ -225,9 +227,8 @@ def test_verify_range_check(capsys):
 
 
 def test_verify_range_follows_table(tmp_path, capsys):
-    shipped = resources.files("multicover").joinpath("data/reference_table.txt")
     table = tmp_path / "table.txt"
-    table.write_text(shipped.read_text(encoding="utf-8") + f"10\t{FROZEN_D10}\n")
+    table.write_text(SHIPPED_TABLE.read_text(encoding="utf-8") + f"10\t{FROZEN_D10}\n")
     code, out, _ = run(capsys, "verify", "--max-degree", "10", "--table", str(table))
     assert code == 0
     assert out.splitlines()[-1] == "d=10 PASS"
@@ -296,8 +297,7 @@ def test_table_not_utf8_rejected(tmp_path, capsys):
 @pytest.mark.parametrize("degree", ["0", "1"])
 def test_table_degree_below_two_rejected(tmp_path, capsys, degree):
     # covers start at degree 2, and verify never reaches such a row
-    shipped = resources.files("multicover").joinpath("data/reference_table.txt")
-    text = shipped.read_text(encoding="utf-8")
+    text = SHIPPED_TABLE.read_text(encoding="utf-8")
     table = tmp_path / "table.txt"
     table.write_text(text + f"{degree}\t-1/(2^3*5^2)\n", encoding="utf-8")
     code, out, err = run(capsys, "verify", "--table", str(table))
@@ -327,6 +327,37 @@ def test_shipped_table_shape():
     assert table.rows[2].value() == Fraction(-1, 200)
     # comments and blank lines are ignored by the loader
     assert table.rows[9].value().denominator % 3**96 == 0
+
+
+def test_shipped_table_loads_from_a_copied_package(tmp_path):
+    # an installed copy of the package, alone on the path and without site,
+    # from another working directory: the table is the file beside cli.py,
+    # opened with no importlib.resources
+    site = tmp_path / "site"
+    shutil.copytree(
+        SHIPPED_TABLE.parents[1], site / "multicover", ignore=shutil.ignore_patterns("__pycache__")
+    )
+    cwd = tmp_path / "elsewhere"
+    cwd.mkdir()
+    code = (
+        "import sys, multicover; from multicover.cli import load_reference_table; "
+        "print(multicover.__file__); print(sorted(load_reference_table().rows)); "
+        "print('importlib.resources' in sys.modules)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True,
+        text=True,
+        cwd=cwd,
+        env=dict(os.environ, PYTHONPATH=str(site)),
+        check=True,
+        timeout=60,
+    )
+    assert done.stdout.splitlines() == [
+        str(site / "multicover" / "__init__.py"),
+        str(list(range(2, 10))),
+        "False",
+    ]
 
 
 # sha256 of the stdout that refactors must keep byte-identical; change a

@@ -46,6 +46,15 @@ def test_mono_mul_double_cover_chain():
     assert total == mono((-1, 200), 0)
 
 
+def test_power_must_be_an_integer():
+    # int() would truncate: a power of 2.9 would print as 1/2*a^2
+    with pytest.raises(TypeError):
+        AlphaMonomial(F(1, 2), 2.9)
+    with pytest.raises(TypeError):
+        AlphaMonomial(F(1, 2), F(2))
+    assert AlphaMonomial(F(1, 2), True).power == 1
+
+
 def test_zero_is_canonical():
     assert mono(0, 7) == mono(0, 0)
     assert mono(3, 2) * mono(0, -5) == mono(0)
@@ -301,6 +310,23 @@ def test_factored_rational_invariants():
         FactoredRational(1, ((3, 1), (2, 1)), ())
     with pytest.raises(ValueError):
         FactoredRational(1, ((2, 1),), ((2, 2),))
+
+
+@pytest.mark.parametrize(
+    "num, den, fragment",
+    [
+        (((2, 1.5),), (), "numerator factor 2^1.5"),
+        (((7.0, 1),), (), "numerator factor 7.0^1"),
+        ((), ((2, 1), (5, F(2))), "denominator factor 5^Fraction(2, 1)"),
+    ],
+    ids=["float-exponent", "float-base", "fraction-exponent"],
+)
+def test_factored_rational_needs_integer_factors(num, den, fragment):
+    # a float exponent would print outside the grammar ('2^1.5'), and a
+    # float base passes is_prime, prints as '7.0' and breaks value()
+    with pytest.raises(ValueError, match="is not an integer power") as err:
+        FactoredRational(1, num, den)
+    assert fragment in str(err.value)
 
 
 _POOL_SMALL = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 53, 97]

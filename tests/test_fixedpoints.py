@@ -106,7 +106,7 @@ def test_action_speed_matches_weight_table():
     # the hand-written speeds are the weight table's c = (w0 - w_slot) / (d - e)
     for m in range(2, 13):
         for contact in Contact:
-            for fk in _step_candidates(contact, m):
+            for fk, _, _ in _step_candidates(contact, m):
                 w = v4_weights(fk)
                 slot = 2 if isinstance(fk.shape, MonoK) else 1
                 expected = (w[0] - w[slot]) / (fk.degree - fk.outgoing_exponent)
@@ -152,7 +152,7 @@ def test_successors_prune_only_zero_smoothing_weight():
     pruned = 0
     for m in range(2, 9):
         for contact in Contact:
-            rows = list(_step_candidates(contact, m))
+            rows = [fk for fk, _, _ in _step_candidates(contact, m)]
             w_ins = [source_tangent_weight(r, NodeEnd.NODE_IN) for r in rows]
             for w in {F(-1, m), *(-w_in for w_in in w_ins)}:
                 kept = list(successors(contact, m, w))
@@ -222,7 +222,7 @@ def test_listing_agrees_with_validation():
                     admitted.append(make_kind(contact, m, shape))
                 except InvalidKindError:
                     pass
-            assert list(_step_candidates(contact, m)) == admitted
+            assert [fk for fk, _, _ in _step_candidates(contact, m)] == admitted
 
 
 # -- chains and configurations ---------------------------------------------------

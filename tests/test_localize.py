@@ -90,7 +90,7 @@ def assert_step_coefficients_agree(degrees):
     range like :func:`assert_oracle_agrees`."""
     for m in degrees:
         for contact in Contact:
-            for kind in _step_candidates(contact, m):
+            for kind, _, _ in _step_candidates(contact, m):
                 expected = product(f for _, f in step_factors(kind))
                 power = 3 - 3 * m if kind.is_end_bubble else 3 * kind.outgoing_exponent - 3 * m + 1
                 assert (_step_coefficient(kind), expected.power) == (expected.coeff, power), kind
@@ -307,7 +307,7 @@ def test_values_beyond_the_table_match_frozen():
 def test_step_factors_match_bundles_and_chain_traces():
     for m in range(2, 7):
         for contact in Contact:
-            for kind in _step_candidates(contact, m):
+            for kind, _, _ in _step_candidates(contact, m):
                 evaluate = end_contribution if kind.is_end_bubble else ruled_contribution
                 bundle = evaluate(kind)
                 main = bundle.main
