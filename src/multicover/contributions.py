@@ -29,15 +29,19 @@ rows sigma is the degree-one Chern part of the obstruction bundle,
 h H_h + k (H_k - H_{k-h}) + d (H_d - H_{d-h}) - 3h over the harmonic
 numbers H_n (:func:`_family_sum`).  End-bubble families carry the dual
 line (an extra automorphism), so their sigma is -1.
-:func:`step_factors` integrates the coefficient on the spot over the
-one-dimensional locus, where ``psi`` integrates to ``-1/(d-h)``, so no
-product of two ``psi`` classes ever arises.
 
-:func:`_weights` writes the formula once, in integers.  The chain traces
-take :func:`step_factors`; the state sum takes the coefficient of the product
-of a step's factors from :func:`_step_coefficient`.  That product's power of
-``a`` is fixed by the kind (3*out - 3d + 1 on a ruled map, 3 - 3d on an end
-map), so the state sum carries no power.
+:func:`_factors` writes all of it once, in integers, as one entry
+``(label, n, r, e)`` per factor n/r a^e: ``main`` (on a family
+``main_psi_coeff``, then ``psi_integral``, as psi integrates to -1/(d-h)
+over the one-dimensional locus, so no product of two psi classes arises),
+``divisor_tangent`` on a ruled map, and ``automorphisms`` unless q == 1.
+Its readers derive no factor themselves: :func:`step_factors` (the chain
+traces) makes each entry a monomial, :func:`_step_coefficient` (the state
+sum) multiplies the integers into one ``Fraction``, and the bundles keep
+all but the psi integral.  So the state sum and the chain traces agree by
+construction.  The product's power of ``a`` is fixed by the kind
+(3*out - 3d + 1 on a ruled map, 3 - 3d on an end map), so the state sum
+carries no power.
 """
 
 from __future__ import annotations
@@ -114,17 +118,22 @@ def _family_sum(d: int, h: int, k: int) -> Fraction:
     return h * H(h) + k * (H(k) - H(k - h)) + d * (H(d) - H(d - h)) - 3 * h
 
 
-def _weights(kind: FixedMapKind, end: bool) -> Tuple[int, int, int, int, int]:
-    """``(n, r, e, q, t)`` for the bubble-map formula of the module
-    docstring, as an end map when ``end`` is set and as a ruled map
-    otherwise: the main factor w (1/q)^e a^e is n/r a^e (not reduced; e < 0
-    on every kind), the automorphism scale is 1/q, and the divisor-tangent
-    factor is t a^2 (t = 1 with no a^2 on an end map)."""
+def psi_integral(d: int, h: int) -> Fraction:
+    """Integral of psi over a one-dimensional family locus: -1/(d-h)."""
+    if not 1 <= h <= d - 1:
+        raise ValueError(f"psi integral needs 1 <= h <= d-1, got (d={d}, h={h})")
+    return Fraction(-1, d - h)
+
+
+def _factors(kind: FixedMapKind, end: bool) -> List[Tuple[str, int, int, int]]:
+    """The listing of the module docstring, n/r not reduced and e < 0 on
+    the main factor, for an end map when ``end`` is set, else a ruled one."""
     d, s, c = kind.degree, kind.shape, kind.contact
+    family = isinstance(s, Family)
     x = s.h if isinstance(s, MonoH) else s.k
     q = d - x
     e = 3 - 3 * d if end else 3 * kind.outgoing_exponent - 3 * d - 1
-    if isinstance(s, Family):
+    if family:
         sigma = -1 if end else _family_sum(d, s.h, s.k)
         n = (-1) ** (s.h + s.k) * sigma.numerator
         r = sigma.denominator * (math.factorial(d - s.h) * math.factorial(q)) ** 2
@@ -134,15 +143,26 @@ def _weights(kind: FixedMapKind, end: bool) -> Tuple[int, int, int, int, int]:
     else:
         n = -1 if isinstance(s, MonoH) or c is Contact.P0 else (-1) ** (d + x)
         r = q * math.factorial(q) * math.factorial(2 * q)
-    t = 1 if end else -1 if isinstance(s, MonoK) and c is not Contact.P2 else 2
-    return n * q ** -e, r, e, q, t
+    factors = [("main_psi_coeff" if family else "main", n * q**-e, r, e)]
+    if family:
+        psi = psi_integral(d, s.h)
+        factors.append(("psi_integral", psi.numerator, psi.denominator, 0))
+    if not end:
+        t = -1 if isinstance(s, MonoK) and c is not Contact.P2 else 2
+        factors.append(("divisor_tangent", t, 1, 2))
+    if q != 1:
+        factors.append(("automorphisms", 1, q, 0))
+    return factors
 
 
 def _bundle(kind: FixedMapKind, end: bool) -> FactorBundle:
-    """The factors of :func:`_weights` as monomials."""
-    n, r, e, q, t = _weights(kind, end)
-    tangent = AlphaMonomial(Fraction(t), 0 if end else 2)
-    return FactorBundle(AlphaMonomial(Fraction(n, r), e), tangent, Fraction(1, q))
+    """The factors of :func:`_factors` but a family's psi integral."""
+    f = {label: AlphaMonomial(Fraction(n, r), e) for label, n, r, e in _factors(kind, end)}
+    return FactorBundle(
+        f.get("main") or f["main_psi_coeff"],
+        f.get("divisor_tangent", MONO_ONE),
+        f.get("automorphisms", MONO_ONE).coeff,
+    )
 
 
 def ruled_contribution(kind: FixedMapKind) -> FactorBundle:
@@ -163,46 +183,23 @@ def end_contribution(kind: FixedMapKind) -> FactorBundle:
     return _bundle(kind, end=True)
 
 
-def psi_integral(d: int, h: int) -> Fraction:
-    """Integral of psi over a one-dimensional family locus: -1/(d-h)."""
-    if not 1 <= h <= d - 1:
-        raise ValueError(f"psi integral needs 1 <= h <= d-1, got (d={d}, h={h})")
-    return Fraction(-1, d - h)
-
-
 @lru_cache(maxsize=None)
 def step_factors(kind: FixedMapKind) -> Tuple[Tuple[str, AlphaMonomial], ...]:
-    """Labeled multiplicative factors of one bubble step, in the 0-side frame.
-
-    Labels: ``main`` for a rigid map factor, ``main_psi_coeff`` /
-    ``psi_integral`` for a family's psi coefficient and the integral of psi
-    over the family, then ``divisor_tangent`` and ``automorphisms`` when
-    they are not 1.
-    """
-    bundle = end_contribution(kind) if kind.is_end_bubble else ruled_contribution(kind)
-    factors: List[Tuple[str, AlphaMonomial]] = []
-    if isinstance(kind.shape, Family):
-        factors.append(("main_psi_coeff", bundle.main))
-        factors.append(
-            ("psi_integral", AlphaMonomial(psi_integral(kind.degree, kind.shape.h)))
-        )
-    else:
-        factors.append(("main", bundle.main))
-    if bundle.auxiliary != MONO_ONE:
-        factors.append(("divisor_tangent", bundle.auxiliary))
-    if bundle.automorphism_scale != 1:
-        factors.append(("automorphisms", AlphaMonomial(bundle.automorphism_scale)))
-    return tuple(factors)
+    """Labeled multiplicative factors of one bubble step, in the 0-side
+    frame: the entries of :func:`_factors` as monomials, labelled ``main``
+    (or ``main_psi_coeff``, ``psi_integral``), ``divisor_tangent``,
+    ``automorphisms``."""
+    factors = _factors(kind, kind.is_end_bubble)
+    return tuple((label, AlphaMonomial(Fraction(n, r), e)) for label, n, r, e in factors)
 
 
 def _step_coefficient(kind: FixedMapKind) -> Fraction:
-    """Coefficient of the product of :func:`step_factors` (main, psi integral
-    -1/(d-h) on a family, divisor tangent, 1/q), multiplied out in integers
-    into one ``Fraction``, with no monomial built."""
-    n, r, _, q, t = _weights(kind, kind.is_end_bubble)
-    if isinstance(kind.shape, Family):
-        n, r = -n, r * (kind.degree - kind.shape.h)
-    return Fraction(n * t, r * q)
+    """Coefficient of the product of :func:`step_factors`: the integers of
+    :func:`_factors` multiplied into one ``Fraction``, no monomial built."""
+    num = den = 1
+    for _, n, r, _ in _factors(kind, kind.is_end_bubble):
+        num, den = num * n, den * r
+    return Fraction(num, den)
 
 
 def node_smoothing(left_weight: Fraction, right_weight: Fraction) -> AlphaMonomial:

@@ -48,7 +48,10 @@ class AlphaMonomial:
     power: int = 0
 
     def __post_init__(self):
-        coeff = self.coeff if isinstance(self.coeff, Fraction) else Fraction(self.coeff)
+        coeff = self.coeff
+        if not isinstance(coeff, (Fraction, int)):  # a float's binary value is not exact
+            raise TypeError(f"coefficient must be int or Fraction, not {type(coeff).__name__}")
+        coeff = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
         power = self.power
         if coeff == 0:
             coeff, power = _ZERO, 0
@@ -111,6 +114,7 @@ _MR_BASES_WIDE = tuple(_TRIAL_PRIMES[:25])
 
 def is_prime(n: int) -> bool:
     """Miller-Rabin primality test, deterministic for n < ~3.3e24."""
+    n = operator.index(n)  # a float raises
     if n < 2:
         return False
     for p in _TRIAL_PRIMES[:60]:
@@ -325,6 +329,7 @@ def factorize(n: int) -> list:
     with 25 fixed bases), not proven ones.  The curves for a cofactor n come
     from ``random.Random(n)``, so the result is deterministic.
     """
+    n = operator.index(n)  # a float raises
     if n < 1:
         raise ValueError("factorize expects a positive integer")
     out: dict = {}
@@ -398,6 +403,8 @@ class FactoredRational:
 
     @classmethod
     def from_rational(cls, q: Fraction) -> "FactoredRational":
+        if not isinstance(q, (int, Fraction)):
+            raise TypeError(f"expected int or Fraction, not {type(q).__name__}")
         if q == 0:
             raise ValueError("zero has no factored form")
         return cls(

@@ -6,8 +6,10 @@ infinity side evaluated in the 0-side frame and then flipped a -> -a.
 A step's factors come from :func:`contributions.step_factors`, which
 integrates a family step's psi coefficient on the spot, so the running
 product stays a single monomial and any number of family steps per chain
-is handled; the state sum takes the coefficient of their product in
-closed form from :func:`contributions._step_coefficient`.
+is handled; the state sum takes the coefficient of their product from
+:func:`contributions._step_coefficient`.  Both read the one integer
+listing of a bubble map's factors, :func:`contributions._factors`, so they
+agree by construction, and a row's factor has a single source.
 
 Every configuration multiplies out to a degree-zero monomial -- a pure
 number -- and the invariant is their exact sum.  Because the factors are
@@ -193,8 +195,6 @@ def multiple_cover_invariant(d: int, *, method: str = "factored") -> Fraction:
     checked side coefficients, zero side outer -- identical by exactness,
     kept as the independent cross-check.
     """
-    if d < 2:
-        raise UnsupportedDegreeError(f"degree must be at least 2, got {d}")
     if method == "factored":
         s0 = side_sum(d, "zero")
         return (base_contribution(d) * s0 * alpha_flip(s0)).coeff

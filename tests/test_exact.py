@@ -116,6 +116,24 @@ def test_factorize_mixed():
         factorize(0)
 
 
+# no floating point: factorize(6.0) would give [(2, 1), (3.0, 1)], is_prime(2.0)
+# True, and AlphaMonomial(0.1) would store 3602879701896397/36028797018963968
+@pytest.mark.parametrize(
+    "fn, x",
+    [
+        (factorize, 6.0),
+        (is_prime, 2.0),
+        (is_prime, 7.5),
+        (AlphaMonomial, 0.1),
+        (FactoredRational.from_rational, 0.5),
+        (format_factored, 0.5),
+    ],
+)
+def test_floats_rejected(fn, x):
+    with pytest.raises(TypeError, match="float"):
+        fn(x)
+
+
 def test_factorize_composite_powers():
     p, q = 10007, 1000003
     assert factorize(p**6 * q**6) == [(p, 6), (q, 6)]

@@ -86,14 +86,23 @@ def assert_step_coefficients_agree(degrees):
     """:func:`_step_coefficient` against the coefficient of the
     :func:`step_factors` product, whose power must be 3*out - 3m + 1 on a
     ruled row and 3 - 3m on an end row (the power the state sum assumes),
-    for every admitted kind of each degree m; CI runs this past tier-1's
-    range like :func:`assert_oracle_agrees`."""
+    and the labels of :func:`step_factors`: ``main`` (a family's
+    ``main_psi_coeff`` and ``psi_integral``), ``divisor_tangent`` on a ruled
+    row and ``automorphisms`` unless q == 1, for every admitted kind of each
+    degree m; CI runs this past tier-1's range like
+    :func:`assert_oracle_agrees`."""
     for m in degrees:
         for contact in Contact:
             for kind, _, _ in _step_candidates(contact, m):
-                expected = product(f for _, f in step_factors(kind))
+                factors = step_factors(kind)
+                expected = product(f for _, f in factors)
                 power = 3 - 3 * m if kind.is_end_bubble else 3 * kind.outgoing_exponent - 3 * m + 1
                 assert (_step_coefficient(kind), expected.power) == (expected.coeff, power), kind
+                s = kind.shape
+                q = m - (s.h if isinstance(s, MonoH) else s.k)
+                labels = ["main_psi_coeff", "psi_integral"] if isinstance(s, Family) else ["main"]
+                labels += ["divisor_tangent"] * (not kind.is_end_bubble) + ["automorphisms"] * (q != 1)
+                assert [label for label, _ in factors] == labels, kind
 
 
 # sha256 over the lines f"{d}\t{N_d}\n" for d = 2..60, the plain cap
