@@ -34,10 +34,10 @@ chain.  The whole row model is one table and one rule:
 
 A row whose attaching node has zero smoothing weight is the broken limit
 of a family locus (the node deformation is the family direction), whose
-integral counts it.  :func:`successors`, the chain walker, drops it.  The
-state table of :mod:`localize` reads :func:`_step_candidates` directly into
-its bubble records, and a state's sum drops the row as a zero denominator.
-:func:`enumerate_chains` walks first in, first out, so chains leave it in
+integral counts it.  Both readers of :func:`_step_candidates` drop it: the
+chain walker :func:`enumerate_chains` as a row whose ``w_in`` cancels the
+far weight, and the state table of :mod:`localize` as a zero denominator in
+a state's sum.  The walk goes first in, first out, so chains leave it in
 the published order, by number of steps and then row by row, as found.
 """
 
@@ -47,7 +47,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 __all__ = [
     "Contact",
@@ -66,7 +66,6 @@ __all__ = [
     "source_tangent_weight",
     "base_tangent_weight",
     "transition",
-    "successors",
     "enumerate_chains",
     "enumerate_configurations",
 ]
@@ -312,29 +311,25 @@ def _step_candidates(contact: Contact, m: int) -> Tuple[tuple, ...]:
     return tuple(rows)
 
 
-def successors(contact: Contact, m: int, w: Fraction) -> Iterator[tuple]:
-    """The rows of :func:`_step_candidates` kept for a degree-m bubble met at
-    ``contact`` through a node whose far side has weight ``w``: all but those
-    with ``w + w_in == 0``, the broken limits of a family locus."""
-    neg_w = -w
-    return (row for row in _step_candidates(contact, m) if row[1] != neg_w)
-
-
 def enumerate_chains(d: int) -> list:
     """All bubble chains over one fixed point for a degree-d cover, in the
     published order: by number of steps, then step by step in the row order
-    of :func:`_step_candidates`.  The walk takes ``(prefix, state)`` pairs
-    from one list in the order they join it; an end row ends a chain."""
+    of :func:`_step_candidates`.  The walk takes entries from one list in the
+    order they join it; an end row ends a chain.  An entry carries the w_in
+    of the row that led to its bubble, -w for the far weight w (1/d at the
+    base), and a row with that same w_in, w + w_in == 0, is dropped."""
     if d < 2:
         raise UnsupportedDegreeError(f"degree must be at least 2, got {d}")
     out: list = []
-    pending = [((), (Contact.P0, d, base_tangent_weight(d)))]
-    for prefix, state in pending:
-        for kind, _, nxt in successors(*state):
+    pending = [((), Contact.P0, d, -base_tangent_weight(d))]
+    for prefix, contact, m, drop in pending:
+        for kind, w_in, nxt in _step_candidates(contact, m):
+            if w_in == drop:
+                continue
             if nxt is None:
                 out.append(Chain(prefix + (kind,)))
             else:
-                pending.append((prefix + (kind,), nxt))
+                pending.append((prefix + (kind,), nxt[0], nxt[1], w_in))
     return out
 
 

@@ -32,15 +32,15 @@ bubble below d also builds some that the root does not reach, such as
 The state sum carries no power of ``a``: a row's power is fixed by its
 kind, so every degree-m state's sum has power 2 - 3m by construction.
 
-Chains are enumerated one by one, through :func:`fixedpoints.successors`,
-only for ``--breakdown`` and for the configuration-by-configuration
-cross-check, which keeps the monomial arithmetic.  Each chain is traced
-and multiplied once, from :func:`chain_factors` and not from the table, so
-the cross-check shares only the row model with the state sum.  That
-product's power of ``a`` is the one power checked at run time: it must be
-2 - 3d, and a wrong one names the chain.  Both sides' records come from
-it, the zero side led by the base factor and the infinity side flipped
-a -> -a, so a configuration costs one product of two plain coefficients.
+Chains are enumerated one by one, by :func:`fixedpoints.enumerate_chains`,
+only for ``--breakdown`` and for the chain-by-chain cross-check, which
+keeps the monomial arithmetic.  Each chain is traced and multiplied once,
+from :func:`chain_factors` and not from the table, so the cross-check
+shares only the row model with the state sum.  That product's power of
+``a`` is the one power checked at run time: it must be 2 - 3d, and a wrong
+one names the chain.  Both sides' records come from it, the zero side led
+by the base factor and the infinity side flipped a -> -a, so a
+configuration costs one product of two plain coefficients.
 """
 
 from __future__ import annotations
@@ -191,9 +191,9 @@ def multiple_cover_invariant(d: int, *, method: str = "factored") -> Fraction:
     """The exact degree-d invariant.
 
     ``method="factored"`` evaluates base * S * flip(S) from the one-sided
-    state sum; ``method="pairwise"`` sums the N^2 products of the chains'
-    checked side coefficients, zero side outer -- identical by exactness,
-    kept as the independent cross-check.
+    state sum; ``method="pairwise"`` multiplies the two sides' sums of the
+    chains' checked coefficients, equal to the N^2 configurations' sum by
+    exactness and kept as the independent cross-check.
     """
     if method == "factored":
         s0 = side_sum(d, "zero")
@@ -201,4 +201,4 @@ def multiple_cover_invariant(d: int, *, method: str = "factored") -> Fraction:
     if method != "pairwise":
         raise ValueError(f"unknown method {method!r}")
     records = [_chain_record(chain) for chain in enumerate_chains(d)]
-    return sum(z * i for (_, z), _ in records for _, (_, i) in records)
+    return sum(z for (_, z), _ in records) * sum(i for _, (_, i) in records)

@@ -28,7 +28,6 @@ from multicover.fixedpoints import (
     enumerate_configurations,
     make_kind,
     source_tangent_weight,
-    successors,
     transition,
     v4_weights,
 )
@@ -137,8 +136,7 @@ def test_opposite_ends_carry_opposite_weights():
     ],
 )
 def test_transition_table(contact, shape, expected):
-    d = 4 if not isinstance(shape, Family) else 4
-    assert transition(kind(contact, d, shape)) == expected
+    assert transition(kind(contact, 4, shape)) == expected
 
 
 def test_end_maps_have_no_transition():
@@ -146,26 +144,45 @@ def test_end_maps_have_no_transition():
     assert transition(kind(Contact.P0, 3, Family(1, 2))) is None
 
 
-def test_successors_prune_only_zero_smoothing_weight():
-    # a row is dropped exactly when its node weight cancels the incoming one,
-    # and the next state carries the row's outgoing weight
-    pruned = 0
+def test_step_candidates_carry_weights_and_next_state():
+    # each row holds its kind's incoming node weight, and its next state the
+    # kind's transition and outgoing weight, or None on an end map
     for m in range(2, 9):
         for contact in Contact:
-            rows = [fk for fk, _, _ in _step_candidates(contact, m)]
-            w_ins = [source_tangent_weight(r, NodeEnd.NODE_IN) for r in rows]
-            for w in {F(-1, m), *(-w_in for w_in in w_ins)}:
-                kept = list(successors(contact, m, w))
-                expected = [(r, w_in) for r, w_in in zip(rows, w_ins) if w + w_in != 0]
-                assert [(fk, w_in) for fk, w_in, _ in kept] == expected
-                pruned += len(rows) - len(kept)
-                for fk, w_in, nxt in kept:
-                    if fk.is_end_bubble:
-                        assert nxt is None
-                    else:
-                        out = source_tangent_weight(fk, NodeEnd.NODE_OUT)
-                        assert nxt == (*transition(fk), out)
-    assert pruned > 0
+            for fk, w_in, nxt in _step_candidates(contact, m):
+                assert w_in == source_tangent_weight(fk, NodeEnd.NODE_IN)
+                if fk.is_end_bubble:
+                    assert nxt is None
+                else:
+                    out = source_tangent_weight(fk, NodeEnd.NODE_OUT)
+                    assert nxt == (*transition(fk), out)
+
+
+def walk_rows(d, prune):
+    """Chains by a walk over :func:`_step_candidates` written here: each state
+    ``(contact, m, w)`` keeps a row iff ``w + w_in != 0``, or every row
+    without ``prune``, and the kept rows leave first in, first out."""
+    out = []
+    pending = [((), Contact.P0, d, base_tangent_weight(d))]
+    for prefix, contact, m, w in pending:
+        for fk, w_in, nxt in _step_candidates(contact, m):
+            if prune and w + w_in == 0:
+                continue
+            if nxt is None:
+                out.append(Chain(prefix + (fk,)))
+            else:
+                pending.append((prefix + (fk,), *nxt))
+    return out
+
+
+@pytest.mark.parametrize("d", range(2, 10))
+def test_chains_drop_only_zero_smoothing_weight(d):
+    # the walker drops a row exactly when its node weight cancels the
+    # incoming one; without that rule the walk finds more chains from d = 3
+    chains = enumerate_chains(d)
+    assert chains == walk_rows(d, prune=True)
+    unpruned = len(walk_rows(d, prune=False))
+    assert unpruned > len(chains) if d > 2 else unpruned == len(chains)
 
 
 # -- kind validation -----------------------------------------------------------
