@@ -34,13 +34,13 @@ kind, so every degree-m state's sum has power 2 - 3m by construction.
 
 Chains are enumerated one by one, by :func:`fixedpoints.enumerate_chains`,
 only for ``--breakdown`` and for the chain-by-chain cross-check, which
-keeps the monomial arithmetic.  Each chain is traced and multiplied once,
-from :func:`chain_factors` and not from the table, so the cross-check
-shares only the row model with the state sum.  That product's power of
-``a`` is the one power checked at run time: it must be 2 - 3d, and a wrong
-one names the chain.  Both sides' records come from it, the zero side led
-by the base factor and the infinity side flipped a -> -a, so a
-configuration costs one product of two plain coefficients.
+keeps the monomial arithmetic.  A call traces and multiplies each chain
+once, from :func:`chain_factors` and not from the table, and keeps nothing
+once it returns.  That product's power of ``a`` is the one power checked
+at run time: it must be 2 - 3d, and a wrong one names the chain.  Both
+sides' records come from it, the zero side led by the base factor and the
+infinity side flipped a -> -a, so a configuration costs one product of two
+plain coefficients; the cross-check keeps only those two per chain.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Dict, List, Tuple
 
 from .contributions import _step_coefficient, base_contribution, node_smoothing, step_factors
@@ -143,7 +142,6 @@ def _table_sum(contact: Contact, m: int, w: Fraction) -> Fraction:
     return sums[p, q]
 
 
-@lru_cache(maxsize=None)
 def _chain_record(chain: Chain) -> tuple:
     """``((zero_trace, zero_coeff), (infinity_trace, infinity_coeff))`` of
     one chain of degree d: the labelled :func:`chain_factors` prefixed
@@ -200,5 +198,5 @@ def multiple_cover_invariant(d: int, *, method: str = "factored") -> Fraction:
         return (base_contribution(d) * s0 * alpha_flip(s0)).coeff
     if method != "pairwise":
         raise ValueError(f"unknown method {method!r}")
-    records = [_chain_record(chain) for chain in enumerate_chains(d)]
-    return sum(z for (_, z), _ in records) * sum(i for _, (_, i) in records)
+    pairs = [(z, i) for (_, z), (_, i) in map(_chain_record, enumerate_chains(d))]
+    return sum(z for z, _ in pairs) * sum(i for _, i in pairs)

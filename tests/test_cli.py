@@ -401,16 +401,21 @@ def test_state_count_at_degree_ten():
     assert sum(len(sums) for _, _, sums in localize._TABLE.values()) == 157
 
 
-def test_side_records_at_degree_five():
+def test_side_records_at_degree_five(monkeypatch):
     # 37 chains per side at degree 5: the breakdown and the pairwise sum each
     # trace and multiply a chain once for both sides, not once per configuration
+    traced = []
+    real_chain_factors = localize.chain_factors
+    monkeypatch.setattr(
+        localize, "chain_factors", lambda chain: traced.append(chain) or real_chain_factors(chain)
+    )
     for evaluate in (
         lambda: _print_breakdown(5, io.StringIO()),
         lambda: multiple_cover_invariant(5, method="pairwise"),
     ):
-        localize._chain_record.cache_clear()
+        traced.clear()
         evaluate()
-        assert localize._chain_record.cache_info().misses == 37
+        assert len(traced) == 37
 
 
 def test_breakdown_records_match_configuration_contribution():
@@ -446,19 +451,18 @@ def _peak_rss_kb():
     return int(lines[0].split()[1]) if lines else None
 
 
-@pytest.mark.skipif(_peak_rss_kb() is None, reason="needs VmHWM in /proc/self/status")
-def test_breakdown_memory_stays_flat():
-    # the degree-7 breakdown writes 87025 records; they are paired from the
-    # 295 chains as they go, so the peak does not grow with the record count.
-    # The child reads its own high-water mark: a child's ru_maxrss can carry
-    # the parent's from before its exec
+def _child_peak_growth_kb(statement):
+    """Growth of a child process's own ``VmHWM`` across ``statement``, in kB,
+    with its stdout discarded.  The child reads its own high-water mark: a
+    child's ru_maxrss can carry the parent's from before its exec."""
     code = (
         "import os, sys\n"
         "from multicover.cli import main\n"
+        "from multicover.localize import multiple_cover_invariant\n"
         "from test_cli import _peak_rss_kb\n"
         "out, sys.stdout = sys.stdout, open(os.devnull, 'w')\n"
         "before = _peak_rss_kb()\n"
-        "assert main(['compute', '7', '--breakdown']) == 0\n"
+        f"{statement}\n"
         "out.write(str(_peak_rss_kb() - before))\n"
     )
     paths = os.pathsep.join([CLI_ENV["PYTHONPATH"], str(Path(__file__).parent)])
@@ -469,7 +473,23 @@ def test_breakdown_memory_stays_flat():
         check=True,
         timeout=300,
     )
-    assert int(done.stdout) < 6 * 1024  # kB; 12.4 MB when the configuration list was held whole
+    return int(done.stdout)
+
+
+@pytest.mark.skipif(_peak_rss_kb() is None, reason="needs VmHWM in /proc/self/status")
+def test_breakdown_memory_stays_flat():
+    # the degree-7 breakdown writes 87025 records; they are paired from the
+    # 295 chains as they go, so the peak does not grow with the record count
+    growth = _child_peak_growth_kb("assert main(['compute', '7', '--breakdown']) == 0")
+    assert growth < 6 * 1024  # kB; 12.4 MB when the configuration list was held whole
+
+
+@pytest.mark.skipif(_peak_rss_kb() is None, reason="needs VmHWM in /proc/self/status")
+def test_pairwise_memory_stays_flat():
+    # the pairwise sum keeps each of the 2364 degree-9 chains' two checked
+    # coefficients, not its factor traces, and nothing once it returns
+    growth = _child_peak_growth_kb("multiple_cover_invariant(9, method='pairwise')")
+    assert growth < 6 * 1024  # kB; 18.9 MB when every chain's record was kept
 
 
 def test_closed_stdout_ends_quietly():

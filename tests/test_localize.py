@@ -209,7 +209,7 @@ def test_trace_multiplies_to_total():
 
 def test_list_built_chain_gives_the_same_total():
     # a chain built from a list of steps is the tuple-built chain: equal,
-    # equally hashed, and accepted by the per-chain record cache
+    # equally hashed, and traced to the same total
     tupled = enumerate_chains(2)[0]
     listed = Chain(list(tupled.steps))
     assert listed == tupled and hash(listed) == hash(tupled)
@@ -386,14 +386,8 @@ def test_nonzero_side_power_names_configuration(monkeypatch, entry):
         "pairwise": lambda: multiple_cover_invariant(3, method="pairwise"),
         "breakdown": lambda: _print_breakdown(3, out),
     }[entry]
-    # the chain records are cached (and cli holds its own name for them), so
-    # the cache is cleared for the skewed factors to be traced at all
-    localize._chain_record.cache_clear()
-    try:
-        with pytest.raises(DegreeZeroViolation) as excinfo:
-            evaluate()
-    finally:
-        localize._chain_record.cache_clear()
+    with pytest.raises(DegreeZeroViolation) as excinfo:
+        evaluate()
     trace = [f"  {label} = {m}" for label, m in real_chain_factors(target) + bump]
     assert str(excinfo.value) == (
         f"chain {target.describe()} has power -6, expected -7; trace:\n" + "\n".join(trace)
