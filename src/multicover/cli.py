@@ -76,18 +76,16 @@ def _print_breakdown(d: int, out) -> Fraction:
     as it goes (zero side outer, as ``enumerate_configurations`` lists them).
     Each chain is rendered up front, so a chain whose power of ``a`` is wrong
     raises before the first record; a record is then one product of two
-    checked side coefficients."""
+    checked side coefficients.  Returns (Σ zero)·(Σ infinity) of those: exactly
+    the records' totals summed, and the product ``method="pairwise"`` returns."""
     rendered = [_render(chain) for chain in enumerate_chains(d)]
-    total = Fraction(0)
     for (zero, (lines0, coeff0), _), (infinity, _, (lines1, coeff1)) in itertools.product(
         rendered, repeat=2
     ):
-        coeff = coeff0 * coeff1
         out.write(  # the config= line is Configuration.describe(), from the rendered names
-            f"config=zero:[{zero}] infinity:[{infinity}]\n{lines0}{lines1}total={coeff}\n\n"
+            f"config=zero:[{zero}] infinity:[{infinity}]\n{lines0}{lines1}total={coeff0 * coeff1}\n\n"
         )
-        total += coeff
-    return total
+    return sum(z for _, (_, z), _ in rendered) * sum(i for _, _, (_, i) in rendered)
 
 
 def _render(chain) -> tuple:

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import multicover
-from multicover import localize
+from multicover import cli, localize
 from multicover.cli import _print_breakdown, _row_equals, load_reference_table, main
 from multicover.exact import FactoredRational, parse_factored
 from multicover.fixedpoints import enumerate_configurations
@@ -120,6 +120,16 @@ def test_breakdown_double_cover(capsys):
         if line.startswith("total=")
     ]
     assert sum(totals) == Fraction(-1, 200)
+
+
+def test_breakdown_mismatch_raises(monkeypatch, capsys):
+    # a state sum the records do not add up to stops the command before its sum line
+    n3 = multiple_cover_invariant(3)
+    monkeypatch.setattr(cli, "multiple_cover_invariant", lambda d: n3 + 1)
+    with pytest.raises(AssertionError) as excinfo:
+        main(["compute", "3", "--breakdown"])
+    assert str(excinfo.value) == "breakdown records do not sum to the invariant"
+    assert "sum=" not in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("argv", [(), ("--factored",)])
