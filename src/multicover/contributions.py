@@ -169,8 +169,8 @@ def ruled_contribution(kind: FixedMapKind) -> FactorBundle:
     """Tabulated factors for a map to a ruled bubble (one point blown up).
 
     The formula is total in (contact, shape, degree), so end-shaped kinds
-    evaluate too; their actual contribution must come from
-    :func:`end_contribution`, which the assembly enforces.
+    evaluate too; no value path reads this bundle: :func:`step_factors` and
+    :func:`_step_coefficient` pick the end formula by ``kind.is_end_bubble``.
     """
     return _bundle(kind, end=False)
 

@@ -238,14 +238,15 @@ def transition(kind: FixedMapKind) -> Optional[Tuple[Contact, int]]:
     """Next bubble's (contact, degree), or None for an end map.  The
     outgoing direction inherits the role its weight plays in the next
     bubble's pattern, which gives the automaton column of ``_ROWS``."""
-    if kind.is_end_bubble:
-        return None
-    return _ROWS[kind.contact, type(kind.shape)][0], kind.outgoing_exponent
+    e = kind.outgoing_exponent
+    return None if e == 1 else (_ROWS[kind.contact, type(kind.shape)][0], e)
 
 
 @dataclass(frozen=True)
 class Chain:
-    """The bubble maps over one of the two fixed points, base outwards."""
+    """The bubble maps over one of the two fixed points, base outwards.  Every
+    chain, walked or built by a caller, is checked at construction in one pass,
+    from (P0, d) through the bubble each step's ``transition`` names, to an end map."""
 
     steps: Tuple[FixedMapKind, ...]
 
@@ -254,15 +255,13 @@ class Chain:
         object.__setattr__(self, "steps", steps)
         if not steps:
             raise ValueError("a chain has at least one bubble")
-        if steps[0].contact is not Contact.P0:
-            raise ValueError("the first bubble meets the divisor at a P0 contact")
-        for prev, nxt in zip(steps, steps[1:]):
-            expected = transition(prev)
-            if expected != (nxt.contact, nxt.degree):
-                raise ValueError(
-                    f"step {nxt.describe()} does not follow {prev.describe()}"
-                )
-        if not steps[-1].is_end_bubble:
+        expected = (Contact.P0, steps[0].degree)
+        for i, step in enumerate(steps):
+            if (step.contact, step.degree) != expected:
+                prev = steps[i - 1].describe() if i else "the base"
+                raise ValueError(f"step {step.describe()} does not follow {prev}")
+            expected = transition(step)
+        if expected is not None:
             raise ValueError("the last step must be an end bubble")
 
     @property

@@ -1,5 +1,6 @@
 """Fixed-map classification, weights, transitions, and enumeration."""
 
+import hashlib
 import os
 import pickle
 import subprocess
@@ -34,6 +35,13 @@ from multicover.fixedpoints import (
 
 F = Fraction
 SRC = str(Path(multicover.__file__).resolve().parents[1])
+
+# sha256 over the describe() lines of enumerate_chains(d), one per chain
+CHAIN_DIGESTS = {
+    10: "16b7168c49ba7f375695f4907ad1b027722fb2bfcc82f8455a74d3b251e867a1",
+    11: "f480bbea37e7c8779c9e559379d3637945c6ddd131c5cac3595a5a8035371e15",
+    12: "a0412dd30e79231c6beae20ebd8ab9eab931b60a568531e9c791491c2a61e716",
+}
 
 
 def kind(contact, d, shape):
@@ -245,29 +253,34 @@ def test_listing_agrees_with_validation():
 # -- chains and configurations ---------------------------------------------------
 
 def test_chain_must_start_at_p0():
-    with pytest.raises(ValueError):
+    first = r"^step P1:d=2:MonoH\(h=1\):end does not follow the base$"
+    with pytest.raises(ValueError, match=first):
         Chain((kind(Contact.P1, 2, MonoH(1)),))
-    with pytest.raises(ValueError, match="at least one bubble"):
+    with pytest.raises(ValueError, match="^a chain has at least one bubble$"):
         Chain(())
 
 
 def test_chain_transition_consistency():
     good = Chain((kind(Contact.P0, 4, MonoK(2)), kind(Contact.P2, 2, MonoH(1))))
     assert good.degree == 4
-    with pytest.raises(ValueError):
+    after = r" does not follow P0:d=4:MonoK\(k=2\):ruled$"
+    with pytest.raises(ValueError, match=r"^step P1:d=2:MonoH\(h=1\):end" + after):
         Chain((kind(Contact.P0, 4, MonoK(2)), kind(Contact.P1, 2, MonoH(1))))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^step P2:d=3:MonoH\(h=1\):end" + after):
         Chain((kind(Contact.P0, 4, MonoK(2)), kind(Contact.P2, 3, MonoH(1))))
 
 
 def test_end_bubble_only_last():
     # an end map has no transition, so no step can follow it
-    with pytest.raises(ValueError, match="does not follow"):
+    with pytest.raises(
+        ValueError,
+        match=r"^step P2:d=2:MonoH\(h=1\):end does not follow P0:d=2:MonoK\(k=1\):end$",
+    ):
         Chain((kind(Contact.P0, 2, MonoK(1)), kind(Contact.P2, 2, MonoH(1))))
 
 
 def test_chain_must_end_with_end_bubble():
-    with pytest.raises(ValueError, match="the last step must be an end bubble"):
+    with pytest.raises(ValueError, match="^the last step must be an end bubble$"):
         Chain((kind(Contact.P0, 4, MonoK(2)),))
 
 
@@ -382,9 +395,18 @@ def test_low_degree_rejected():
         enumerate_configurations(0)
 
 
+def assert_chain_digests(degrees):
+    """The walk's chains past the shipped table, line by line, against
+    :data:`CHAIN_DIGESTS`; tier-1 takes d = 10 and 11, CI d = 12."""
+    for d in degrees:
+        lines = "".join(c.describe() + "\n" for c in enumerate_chains(d))
+        assert hashlib.sha256(lines.encode()).hexdigest() == CHAIN_DIGESTS[d], d
+
+
 def test_enumeration_halts_through_degree_twelve():
     for d in (10, 11, 12):
         chains = enumerate_chains(d)
         assert chains
         assert max(len(c.steps) for c in chains) < d
         assert chains == sorted(chains, key=published_order_key)
+    assert_chain_digests((10, 11))
