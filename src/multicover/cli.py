@@ -76,8 +76,8 @@ def _print_breakdown(d: int, out) -> Fraction:
     as it goes (zero side outer, as ``enumerate_configurations`` lists them).
     Each chain is rendered up front, so a chain whose power of ``a`` is wrong
     raises before the first record; a record is then one product of two
-    checked side coefficients.  Returns (Σ zero)·(Σ infinity) of those: exactly
-    the records' totals summed, and the product ``method="pairwise"`` returns."""
+    checked side coefficients.  Returns (Σ zero)·(Σ infinity) of those, which
+    by exact distributivity is the records' totals summed."""
     rendered = [_render(chain) for chain in enumerate_chains(d)]
     for (zero, (lines0, coeff0), _), (infinity, _, (lines1, coeff1)) in itertools.product(
         rendered, repeat=2

@@ -44,6 +44,7 @@ the published order, by number of steps and then row by row, as found.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -61,7 +62,6 @@ __all__ = [
     "UnsupportedDegreeError",
     "InvalidKindError",
     "Shape",
-    "make_kind",
     "v4_weights",
     "source_tangent_weight",
     "base_tangent_weight",
@@ -73,6 +73,18 @@ __all__ = [
 
 class UnsupportedDegreeError(ValueError):
     """Cover degree outside the supported range (d >= 2)."""
+
+
+def _cover_degree(d) -> int:
+    """The cover degree d as an ``int``; a float, ``str`` or ``Fraction`` raises
+    a ``TypeError`` naming it, a degree below 2 UnsupportedDegreeError."""
+    try:
+        n = operator.index(d)
+    except TypeError:
+        raise TypeError(f"degree must be an integer, got {d!r} ({type(d).__name__})") from None
+    if n < 2:
+        raise UnsupportedDegreeError(f"degree must be at least 2, got {d!r}")
+    return n
 
 
 class InvalidKindError(ValueError):
@@ -177,9 +189,6 @@ class FixedMapKind:
         body = repr(self.shape).replace(" ", "")  # Family(h=1,k=2), MonoK(k=2), ...
         tag = "end" if self.is_end_bubble else "ruled"
         return f"{self.contact.name}:d={self.degree}:{body}:{tag}"
-
-
-make_kind = FixedMapKind
 
 
 def v4_weights(kind: FixedMapKind) -> Tuple[Fraction, Fraction, Fraction, Fraction]:
@@ -317,8 +326,7 @@ def enumerate_chains(d: int) -> list:
     order they join it; an end row ends a chain.  An entry carries the w_in
     of the row that led to its bubble, -w for the far weight w (1/d at the
     base), and a row with that same w_in, w + w_in == 0, is dropped."""
-    if d < 2:
-        raise UnsupportedDegreeError(f"degree must be at least 2, got {d}")
+    d = _cover_degree(d)
     out: list = []
     pending = [((), Contact.P0, d, -base_tangent_weight(d))]
     for prefix, contact, m, drop in pending:
@@ -335,6 +343,7 @@ def enumerate_chains(d: int) -> list:
 def enumerate_configurations(d: int) -> list:
     """All fixed-point configurations with nonvanishing contribution: the
     chains over 0 and over infinity paired independently."""
+    d = _cover_degree(d)
     chains = enumerate_chains(d)
     return [
         Configuration(d, c0, ci)

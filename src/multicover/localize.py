@@ -33,14 +33,14 @@ The state sum carries no power of ``a``: a row's power is fixed by its
 kind, so every degree-m state's sum has power 2 - 3m by construction.
 
 Chains are enumerated one by one, by :func:`fixedpoints.enumerate_chains`,
-only for ``--breakdown`` and for the chain-by-chain cross-check, which
-keeps the monomial arithmetic.  A call traces and multiplies each chain
-once, from :func:`chain_factors` and not from the table, and keeps nothing
-once it returns.  That product's power of ``a`` is the one power checked
-at run time: it must be 2 - 3d, and a wrong one names the chain.  Both
-sides' records come from it, the zero side led by the base factor and the
-infinity side flipped a -> -a, so a configuration costs one product of two
-plain coefficients; the cross-check keeps only those two per chain.
+only for ``--breakdown`` and the per-configuration API, which keep the
+monomial arithmetic; the chain-by-chain sum is a test oracle.  A caller
+traces and multiplies each chain once, from :func:`chain_factors` and not
+from the table, and keeps nothing once it returns.  That product's power
+of ``a`` is the one power checked at run time: it must be 2 - 3d, and a
+wrong one names the chain.  Both sides' records come from it, the zero
+side led by the base factor and the infinity side flipped a -> -a, so a
+configuration costs one product of two plain coefficients.
 """
 
 from __future__ import annotations
@@ -57,10 +57,9 @@ from .fixedpoints import (
     Configuration,
     Contact,
     NodeEnd,
-    UnsupportedDegreeError,
+    _cover_degree,
     _step_candidates,
     base_tangent_weight,
-    enumerate_chains,
     source_tangent_weight,
 )
 
@@ -178,25 +177,15 @@ def side_sum(d: int, side: str) -> AlphaMonomial:
     excluded); the infinity side is the a -> -a flip of the zero side."""
     if side not in ("zero", "infinity"):
         raise ValueError(f"side must be 'zero' or 'infinity', got {side!r}")
-    if d < 2:
-        raise UnsupportedDegreeError(f"degree must be at least 2, got {d}")
+    d = _cover_degree(d)
     _fill_table(d)
     total = AlphaMonomial(_table_sum(Contact.P0, d, base_tangent_weight(d)), 2 - 3 * d)
     return alpha_flip(total) if side == "infinity" else total
 
 
-def multiple_cover_invariant(d: int, *, method: str = "factored") -> Fraction:
-    """The exact degree-d invariant.
-
-    ``method="factored"`` evaluates base * S * flip(S) from the one-sided
-    state sum; ``method="pairwise"`` multiplies the two sides' sums of the
-    chains' checked coefficients, equal to the N^2 configurations' sum by
-    exactness and kept as the independent cross-check.
-    """
-    if method == "factored":
-        s0 = side_sum(d, "zero")
-        return (base_contribution(d) * s0 * alpha_flip(s0)).coeff
-    if method != "pairwise":
-        raise ValueError(f"unknown method {method!r}")
-    pairs = [(z, i) for (_, z), (_, i) in map(_chain_record, enumerate_chains(d))]
-    return sum(z for z, _ in pairs) * sum(i for _, i in pairs)
+def multiple_cover_invariant(d: int) -> Fraction:
+    """The exact degree-d invariant, base * S * flip(S) from the one-sided
+    state sum S of :func:`side_sum`."""
+    d = _cover_degree(d)
+    s0 = side_sum(d, "zero")
+    return (base_contribution(d) * s0 * alpha_flip(s0)).coeff

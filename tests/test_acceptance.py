@@ -17,11 +17,11 @@ from multicover.contributions import base_contribution, end_contribution, node_s
 from multicover.exact import AlphaMonomial, alpha_flip, format_factored, parse_factored
 from multicover.fixedpoints import (
     Contact,
+    FixedMapKind,
     MonoH,
     MonoK,
     NodeEnd,
     enumerate_configurations,
-    make_kind,
     source_tangent_weight,
 )
 from multicover.localize import (
@@ -29,6 +29,7 @@ from multicover.localize import (
     multiple_cover_invariant,
     side_sum,
 )
+from oracles import pairwise_invariant
 
 F = Fraction
 
@@ -130,8 +131,8 @@ def test_criterion_1_base_formula():
 
 def test_criterion_2_worked_intermediates():
     base_w = F(-1, 2)
-    short_k = make_kind(Contact.P0, 2, MonoK(1))
-    short_h = make_kind(Contact.P0, 2, MonoH(1))
+    short_k = FixedMapKind(Contact.P0, 2, MonoK(1))
+    short_h = FixedMapKind(Contact.P0, 2, MonoH(1))
     checks = [
         node_smoothing(base_w, source_tangent_weight(short_k, NodeEnd.NODE_IN))
         == AlphaMonomial(F(-2, 3), -1),
@@ -238,7 +239,7 @@ def test_criterion_8_determinism():
     ok = True
     for d in range(2, 6):
         reference = multiple_cover_invariant(d)
-        serial = multiple_cover_invariant(d, method="pairwise")
+        serial = pairwise_invariant(d)
         configs = enumerate_configurations(d)
         rng.shuffle(configs)
         permuted = sum(configuration_contribution(c).total.coeff for c in configs)

@@ -17,6 +17,7 @@ from multicover.cli import _print_breakdown, _row_equals, load_reference_table, 
 from multicover.exact import FactoredRational, parse_factored
 from multicover.fixedpoints import enumerate_configurations
 from multicover.localize import configuration_contribution, multiple_cover_invariant
+from oracles import pairwise_invariant
 
 # the engine's d = 10 value, as frozen for the benchmark
 FROZEN_D10 = (
@@ -421,7 +422,7 @@ def test_side_records_at_degree_five(monkeypatch):
     )
     for evaluate in (
         lambda: _print_breakdown(5, io.StringIO()),
-        lambda: multiple_cover_invariant(5, method="pairwise"),
+        lambda: pairwise_invariant(5),
     ):
         traced.clear()
         evaluate()
@@ -468,7 +469,7 @@ def _child_peak_growth_kb(statement):
     code = (
         "import os, sys\n"
         "from multicover.cli import main\n"
-        "from multicover.localize import multiple_cover_invariant\n"
+        "from oracles import pairwise_invariant\n"
         "from test_cli import _peak_rss_kb\n"
         "out, sys.stdout = sys.stdout, open(os.devnull, 'w')\n"
         "before = _peak_rss_kb()\n"
@@ -498,7 +499,7 @@ def test_breakdown_memory_stays_flat():
 def test_pairwise_memory_stays_flat():
     # the pairwise sum keeps each of the 2364 degree-9 chains' two checked
     # coefficients, not its factor traces, and nothing once it returns
-    growth = _child_peak_growth_kb("multiple_cover_invariant(9, method='pairwise')")
+    growth = _child_peak_growth_kb("pairwise_invariant(9)")
     assert growth < 6 * 1024  # kB; 18.9 MB when every chain's record was kept
 
 

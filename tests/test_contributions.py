@@ -17,19 +17,15 @@ from multicover.exact import MONO_ONE, AlphaMonomial
 from multicover.fixedpoints import (
     Contact,
     Family,
+    FixedMapKind,
     MonoH,
     MonoK,
     NodeEnd,
-    make_kind,
     source_tangent_weight,
 )
-from test_fixedpoints import all_kinds
+from oracles import all_kinds, family_sum_loop, mono
 
 F = Fraction
-
-
-def mono(c, p=0):
-    return AlphaMonomial(F(*c) if isinstance(c, tuple) else F(c), p)
 
 
 # -- base component ------------------------------------------------------------
@@ -61,7 +57,7 @@ def test_base_power_and_sign():
 
 def test_ruled_monok_value():
     # d - k = 1 pattern shared by the degree-2 short map
-    bundle = ruled_contribution(make_kind(Contact.P0, 3, MonoK(2)))
+    bundle = ruled_contribution(FixedMapKind(Contact.P0, 3, MonoK(2)))
     assert bundle.main == mono((-1, 2), -4)
     assert bundle.auxiliary == mono(-1, 2)
     assert bundle.automorphism_scale == 1
@@ -69,36 +65,28 @@ def test_ruled_monok_value():
 
 def test_ruled_monok_evaluates_end_shaped_kind():
     # the expression itself at (d, k) = (2, 1)
-    bundle = ruled_contribution(make_kind(Contact.P0, 2, MonoK(1)))
+    bundle = ruled_contribution(FixedMapKind(Contact.P0, 2, MonoK(1)))
     assert bundle.main == mono((-1, 2), -4)
 
 
 def test_ruled_monoh_value():
-    bundle = ruled_contribution(make_kind(Contact.P0, 4, MonoH(3)))
+    bundle = ruled_contribution(FixedMapKind(Contact.P0, 4, MonoH(3)))
     assert bundle.main == mono((1, 8), -4)
     assert bundle.auxiliary == mono(2, 2)
     assert bundle.automorphism_scale == 1
 
 
 def test_ruled_monoh_expression_at_degree_two():
-    bundle = ruled_contribution(make_kind(Contact.P0, 2, MonoH(1)))
+    bundle = ruled_contribution(FixedMapKind(Contact.P0, 2, MonoH(1)))
     assert bundle.main == mono((1, 8), -4)
 
 
 def test_ruled_family_psi_coefficient():
-    bundle = ruled_contribution(make_kind(Contact.P0, 4, Family(2, 3)))
+    bundle = ruled_contribution(FixedMapKind(Contact.P0, 4, Family(2, 3)))
     # sum over i=1: 1/(2-1) + 1/(3-1) + 1/(4-1) = 11/6
     assert bundle.main == AlphaMonomial(-F(1, 4) * F(11, 6), -7)
     assert bundle.auxiliary == mono(2, 2)
     assert bundle.automorphism_scale == F(1, 1)
-
-
-def family_sum_loop(d, h, k):
-    """sigma term by term: sum_{i<h} i/(h-i) + i/(k-i) + i/(d-i)."""
-    total = F(0)
-    for i in range(h):
-        total += F(i, h - i) + F(i, k - i) + F(i, d - i)
-    return total
 
 
 def test_family_sum_closed_form_matches_loop():
@@ -111,12 +99,12 @@ def test_family_sum_closed_form_matches_loop():
 
 
 def test_ruled_family_vanishes_at_unit_exponent():
-    bundle = ruled_contribution(make_kind(Contact.P0, 3, Family(1, 2)))
+    bundle = ruled_contribution(FixedMapKind(Contact.P0, 3, Family(1, 2)))
     assert bundle.main.coeff == 0
 
 
 def test_ruled_monok_scale():
-    bundle = ruled_contribution(make_kind(Contact.P0, 4, MonoK(2)))
+    bundle = ruled_contribution(FixedMapKind(Contact.P0, 4, MonoK(2)))
     assert bundle.automorphism_scale == F(1, 2)
     # (-1/2) * 1/(2! 4!) * (1/2)^(-7)
     assert bundle.main == mono((-4, 3), -7)
@@ -124,40 +112,40 @@ def test_ruled_monok_scale():
 
 def test_p2_rows_keep_positive_divisor_tangent():
     for shape in (MonoH(2), MonoK(2)):
-        bundle = ruled_contribution(make_kind(Contact.P2, 4, shape))
+        bundle = ruled_contribution(FixedMapKind(Contact.P2, 4, shape))
         assert bundle.auxiliary == mono(2, 2)
 
 
 # -- end rows --------------------------------------------------------------------
 
 def test_end_short_maps_double_cover():
-    assert end_contribution(make_kind(Contact.P0, 2, MonoK(1))).main == mono((-1, 2), -3)
-    assert end_contribution(make_kind(Contact.P0, 2, MonoH(1))).main == mono((1, 2), -3)
-    assert end_contribution(make_kind(Contact.P1, 2, MonoK(1))).main == mono((-1, 2), -3)
+    assert end_contribution(FixedMapKind(Contact.P0, 2, MonoK(1))).main == mono((-1, 2), -3)
+    assert end_contribution(FixedMapKind(Contact.P0, 2, MonoH(1))).main == mono((1, 2), -3)
+    assert end_contribution(FixedMapKind(Contact.P1, 2, MonoK(1))).main == mono((-1, 2), -3)
 
 
 def test_end_p2_monok_value():
-    bundle = end_contribution(make_kind(Contact.P2, 3, MonoK(1)))
+    bundle = end_contribution(FixedMapKind(Contact.P2, 3, MonoK(1)))
     assert bundle.main == mono((2, 3), -6)
     assert bundle.automorphism_scale == F(1, 2)
 
 
 def test_end_p2_monoh_value():
-    bundle = end_contribution(make_kind(Contact.P2, 2, MonoH(1)))
+    bundle = end_contribution(FixedMapKind(Contact.P2, 2, MonoH(1)))
     assert bundle.main == mono((-1, 2), -3)
 
 
 def test_end_family_is_pure_psi():
-    bundle = end_contribution(make_kind(Contact.P0, 3, Family(1, 2)))
+    bundle = end_contribution(FixedMapKind(Contact.P0, 3, Family(1, 2)))
     assert bundle.main == mono((1, 4), -6)  # minus the (-1)^(k+1) prefactor
     assert bundle.automorphism_scale == F(1, 1)
-    deeper = end_contribution(make_kind(Contact.P1, 5, Family(1, 3)))
+    deeper = end_contribution(FixedMapKind(Contact.P1, 5, Family(1, 3)))
     assert deeper.automorphism_scale == F(1, 2)
 
 
 def test_end_rejects_ruled_kind():
     with pytest.raises(ValueError):
-        end_contribution(make_kind(Contact.P0, 4, MonoK(2)))
+        end_contribution(FixedMapKind(Contact.P0, 4, MonoK(2)))
 
 
 @pytest.mark.parametrize(
@@ -182,7 +170,7 @@ def test_end_rejects_ruled_kind():
     ],
 )
 def test_row_bundle_pins(evaluate, contact, d, shape, main, auxiliary, scale):
-    bundle = evaluate(make_kind(contact, d, shape))
+    bundle = evaluate(FixedMapKind(contact, d, shape))
     assert (bundle.main, bundle.auxiliary, bundle.automorphism_scale) == (main, auxiliary, scale)
 
 
@@ -224,8 +212,8 @@ def test_psi_integral_negative_and_boundary():
 
 def test_node_smoothing_double_cover_values():
     base = F(-1, 2)
-    short_k = make_kind(Contact.P0, 2, MonoK(1))
-    short_h = make_kind(Contact.P0, 2, MonoH(1))
+    short_k = FixedMapKind(Contact.P0, 2, MonoK(1))
+    short_h = FixedMapKind(Contact.P0, 2, MonoH(1))
     w_k = source_tangent_weight(short_k, NodeEnd.NODE_IN)
     w_h = source_tangent_weight(short_h, NodeEnd.NODE_IN)
     assert node_smoothing(base, w_k) == mono((-2, 3), -1)
@@ -242,7 +230,7 @@ def test_double_cover_side_assembly():
     base = F(-1, 2)
     total = F(0)
     for shape, main in ((MonoK(1), mono((-1, 2), -3)), (MonoH(1), mono((1, 2), -3))):
-        kind = make_kind(Contact.P0, 2, shape)
+        kind = FixedMapKind(Contact.P0, 2, shape)
         w = source_tangent_weight(kind, NodeEnd.NODE_IN)
         assert end_contribution(kind).main == main
         term = node_smoothing(base, w) * main

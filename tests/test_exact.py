@@ -104,6 +104,25 @@ def test_is_prime_basics():
     assert not any(is_prime(n) for n in (-7, 0, 1))
 
 
+def test_strong_pseudoprime_to_bases_through_31_refused():
+    # 3825123056546413051 = 149491 * 747451 * 34233211 passes the strong
+    # test to every prime base from 2 to 31; base 37 refuses it, and so
+    # must is_prime, whose trial division stops at 281
+    n = 3825123056546413051
+    assert 149491 * 747451 * 34233211 == n
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+
+    def passes(base):
+        x = pow(base, d, n)
+        return x in (1, n - 1) or any(pow(x, 2**r, n) == n - 1 for r in range(1, s))
+
+    bases = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
+    assert [base for base in bases if not passes(base)] == [37]
+    assert not is_prime(n)
+
+
 def test_factorize_large_square():
     n = (11740987 * 49789008475889939) ** 2
     assert factorize(n) == [(11740987, 2), (49789008475889939, 2)]

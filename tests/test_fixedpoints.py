@@ -1,6 +1,5 @@
 """Fixed-map classification, weights, transitions, and enumeration."""
 
-import hashlib
 import os
 import pickle
 import subprocess
@@ -27,60 +26,30 @@ from multicover.fixedpoints import (
     base_tangent_weight,
     enumerate_chains,
     enumerate_configurations,
-    make_kind,
     source_tangent_weight,
     transition,
     v4_weights,
 )
+from oracles import all_kinds, assert_chain_digests, walk_rows
 
 F = Fraction
 SRC = str(Path(multicover.__file__).resolve().parents[1])
 
-# sha256 over the describe() lines of enumerate_chains(d), one per chain
-CHAIN_DIGESTS = {
-    10: "16b7168c49ba7f375695f4907ad1b027722fb2bfcc82f8455a74d3b251e867a1",
-    11: "f480bbea37e7c8779c9e559379d3637945c6ddd131c5cac3595a5a8035371e15",
-    12: "a0412dd30e79231c6beae20ebd8ab9eab931b60a568531e9c791491c2a61e716",
-}
-
-
-def kind(contact, d, shape):
-    return make_kind(contact, d, shape)
-
-
 # -- weight table ------------------------------------------------------------
 
 def test_v4_weights_family_row():
-    w = v4_weights(kind(Contact.P0, 3, Family(1, 2)))
+    w = v4_weights(FixedMapKind(Contact.P0, 3, Family(1, 2)))
     assert w == (F(3), F(1), F(2), F(0))
 
 
 def test_v4_weights_monok_row():
-    w = v4_weights(kind(Contact.P0, 2, MonoK(1)))
+    w = v4_weights(FixedMapKind(Contact.P0, 2, MonoK(1)))
     assert w == (F(2), F(0), F(1), F(0))
 
 
 def test_v4_weights_monoh_at_p2():
-    w = v4_weights(kind(Contact.P2, 2, MonoH(1)))
+    w = v4_weights(FixedMapKind(Contact.P2, 2, MonoH(1)))
     assert w == (F(-2), F(-1), F(-3), F(0))
-
-
-def all_kinds(max_degree):
-    out = []
-    for d in range(2, max_degree + 1):
-        for contact in Contact:
-            for h in range(1, d):
-                if contact is Contact.P2:
-                    out.append(kind(contact, d, MonoH(h)))
-                elif (d + h) % 2 == 0:
-                    out.append(kind(contact, d, Family(h, (d + h) // 2)))
-                else:
-                    out.append(kind(contact, d, MonoH(h)))
-            for k in range(1, d):
-                if k == 1 and contact is not Contact.P2 and d != 2:
-                    continue
-                out.append(kind(contact, d, MonoK(k)))
-    return out
 
 
 def test_family_weights_reflect_exponent_relation():
@@ -94,7 +63,7 @@ def test_family_weights_reflect_exponent_relation():
 # -- source tangent weights ----------------------------------------------------
 
 def test_family_outgoing_weight():
-    fk = kind(Contact.P0, 5, Family(3, 4))
+    fk = FixedMapKind(Contact.P0, 5, Family(3, 4))
     assert source_tangent_weight(fk, NodeEnd.NODE_OUT) == F(1, 5 - 4)
 
 
@@ -102,10 +71,10 @@ def test_base_weight_orientation():
     # pinned by the degree-2 smoothing factors -2/(3a) and -2/(5a)
     assert base_tangent_weight(2) == F(-1, 2)
     assert base_tangent_weight(2) + source_tangent_weight(
-        kind(Contact.P0, 2, MonoK(1)), NodeEnd.NODE_IN
+        FixedMapKind(Contact.P0, 2, MonoK(1)), NodeEnd.NODE_IN
     ) == F(-3, 2)
     assert base_tangent_weight(2) + source_tangent_weight(
-        kind(Contact.P0, 2, MonoH(1)), NodeEnd.NODE_IN
+        FixedMapKind(Contact.P0, 2, MonoH(1)), NodeEnd.NODE_IN
     ) == F(-5, 2)
 
 
@@ -144,12 +113,12 @@ def test_opposite_ends_carry_opposite_weights():
     ],
 )
 def test_transition_table(contact, shape, expected):
-    assert transition(kind(contact, 4, shape)) == expected
+    assert transition(FixedMapKind(contact, 4, shape)) == expected
 
 
 def test_end_maps_have_no_transition():
-    assert transition(kind(Contact.P0, 2, MonoH(1))) is None
-    assert transition(kind(Contact.P0, 3, Family(1, 2))) is None
+    assert transition(FixedMapKind(Contact.P0, 2, MonoH(1))) is None
+    assert transition(FixedMapKind(Contact.P0, 3, Family(1, 2))) is None
 
 
 def test_step_candidates_carry_weights_and_next_state():
@@ -166,23 +135,6 @@ def test_step_candidates_carry_weights_and_next_state():
                     assert nxt == (*transition(fk), out)
 
 
-def walk_rows(d, prune):
-    """Chains by a walk over :func:`_step_candidates` written here: each state
-    ``(contact, m, w)`` keeps a row iff ``w + w_in != 0``, or every row
-    without ``prune``, and the kept rows leave first in, first out."""
-    out = []
-    pending = [((), Contact.P0, d, base_tangent_weight(d))]
-    for prefix, contact, m, w in pending:
-        for fk, w_in, nxt in _step_candidates(contact, m):
-            if prune and w + w_in == 0:
-                continue
-            if nxt is None:
-                out.append(Chain(prefix + (fk,)))
-            else:
-                pending.append((prefix + (fk,), *nxt))
-    return out
-
-
 @pytest.mark.parametrize("d", range(2, 10))
 def test_chains_drop_only_zero_smoothing_weight(d):
     # the walker drops a row exactly when its node weight cancels the
@@ -197,40 +149,39 @@ def test_chains_drop_only_zero_smoothing_weight(d):
 
 def test_family_needs_exponent_relation():
     with pytest.raises(InvalidKindError):
-        kind(Contact.P0, 4, Family(1, 2))  # 4 + 1 != 2*2
+        FixedMapKind(Contact.P0, 4, Family(1, 2))  # 4 + 1 != 2*2
 
 
 def test_family_rejected_at_p2():
     with pytest.raises(InvalidKindError):
-        kind(Contact.P2, 3, Family(1, 2))
+        FixedMapKind(Contact.P2, 3, Family(1, 2))
 
 
 def test_monoh_parity_rule_at_p0_p1():
     with pytest.raises(InvalidKindError):
-        kind(Contact.P0, 3, MonoH(1))  # h = d (mod 2): family boundary
-    kind(Contact.P2, 3, MonoH(1))  # no parity rule at P2
+        FixedMapKind(Contact.P0, 3, MonoH(1))  # h = d (mod 2): family boundary
+    FixedMapKind(Contact.P2, 3, MonoH(1))  # no parity rule at P2
 
 
 def test_short_monok_rows_limited_to_degree_two():
     with pytest.raises(InvalidKindError):
-        kind(Contact.P0, 3, MonoK(1))
+        FixedMapKind(Contact.P0, 3, MonoK(1))
     with pytest.raises(InvalidKindError):
-        kind(Contact.P1, 4, MonoK(1))
-    kind(Contact.P0, 2, MonoK(1))
-    kind(Contact.P2, 5, MonoK(1))
+        FixedMapKind(Contact.P1, 4, MonoK(1))
+    FixedMapKind(Contact.P0, 2, MonoK(1))
+    FixedMapKind(Contact.P2, 5, MonoK(1))
 
 
 def test_kind_degree_and_shape_checked():
     with pytest.raises(InvalidKindError, match="degree 1 must be >= 2"):
-        make_kind(Contact.P0, 1, MonoK(1))
+        FixedMapKind(Contact.P0, 1, MonoK(1))
     with pytest.raises(InvalidKindError, match="unknown shape"):
-        make_kind(Contact.P0, 3, "MonoK")
+        FixedMapKind(Contact.P0, 3, "MonoK")
 
 
 def test_end_flag_follows_outgoing_exponent():
     assert FixedMapKind(Contact.P0, 4, MonoH(1)).is_end_bubble
     assert not FixedMapKind(Contact.P0, 4, MonoH(3)).is_end_bubble
-    assert make_kind is FixedMapKind
 
 
 def test_listing_agrees_with_validation():
@@ -244,7 +195,7 @@ def test_listing_agrees_with_validation():
             admitted = []
             for shape in shapes:
                 try:
-                    admitted.append(make_kind(contact, m, shape))
+                    admitted.append(FixedMapKind(contact, m, shape))
                 except InvalidKindError:
                     pass
             assert [fk for fk, _, _ in _step_candidates(contact, m)] == admitted
@@ -255,19 +206,19 @@ def test_listing_agrees_with_validation():
 def test_chain_must_start_at_p0():
     first = r"^step P1:d=2:MonoH\(h=1\):end does not follow the base$"
     with pytest.raises(ValueError, match=first):
-        Chain((kind(Contact.P1, 2, MonoH(1)),))
+        Chain((FixedMapKind(Contact.P1, 2, MonoH(1)),))
     with pytest.raises(ValueError, match="^a chain has at least one bubble$"):
         Chain(())
 
 
 def test_chain_transition_consistency():
-    good = Chain((kind(Contact.P0, 4, MonoK(2)), kind(Contact.P2, 2, MonoH(1))))
+    good = Chain((FixedMapKind(Contact.P0, 4, MonoK(2)), FixedMapKind(Contact.P2, 2, MonoH(1))))
     assert good.degree == 4
     after = r" does not follow P0:d=4:MonoK\(k=2\):ruled$"
     with pytest.raises(ValueError, match=r"^step P1:d=2:MonoH\(h=1\):end" + after):
-        Chain((kind(Contact.P0, 4, MonoK(2)), kind(Contact.P1, 2, MonoH(1))))
+        Chain((FixedMapKind(Contact.P0, 4, MonoK(2)), FixedMapKind(Contact.P1, 2, MonoH(1))))
     with pytest.raises(ValueError, match=r"^step P2:d=3:MonoH\(h=1\):end" + after):
-        Chain((kind(Contact.P0, 4, MonoK(2)), kind(Contact.P2, 3, MonoH(1))))
+        Chain((FixedMapKind(Contact.P0, 4, MonoK(2)), FixedMapKind(Contact.P2, 3, MonoH(1))))
 
 
 def test_end_bubble_only_last():
@@ -276,12 +227,12 @@ def test_end_bubble_only_last():
         ValueError,
         match=r"^step P2:d=2:MonoH\(h=1\):end does not follow P0:d=2:MonoK\(k=1\):end$",
     ):
-        Chain((kind(Contact.P0, 2, MonoK(1)), kind(Contact.P2, 2, MonoH(1))))
+        Chain((FixedMapKind(Contact.P0, 2, MonoK(1)), FixedMapKind(Contact.P2, 2, MonoH(1))))
 
 
 def test_chain_must_end_with_end_bubble():
     with pytest.raises(ValueError, match="^the last step must be an end bubble$"):
-        Chain((kind(Contact.P0, 4, MonoK(2)),))
+        Chain((FixedMapKind(Contact.P0, 4, MonoK(2)),))
 
 
 def test_chain_pickles_across_hash_seeds():
@@ -348,7 +299,7 @@ def test_family_boundaries_are_excluded():
 
 
 def published_order_key(chain):
-    """The key whose sort order --breakdown and method="pairwise" publish:
+    """The key whose sort order the chain walk and --breakdown publish:
     number of steps, then per step (contact, shape rank, degree, outgoing
     exponent) with the families first, then MonoH, then MonoK."""
     rank = {Family: 0, MonoH: 1, MonoK: 2}
@@ -393,14 +344,6 @@ def test_low_degree_rejected():
         enumerate_chains(1)
     with pytest.raises(UnsupportedDegreeError):
         enumerate_configurations(0)
-
-
-def assert_chain_digests(degrees):
-    """The walk's chains past the shipped table, line by line, against
-    :data:`CHAIN_DIGESTS`; tier-1 takes d = 10 and 11, CI d = 12."""
-    for d in degrees:
-        lines = "".join(c.describe() + "\n" for c in enumerate_chains(d))
-        assert hashlib.sha256(lines.encode()).hexdigest() == CHAIN_DIGESTS[d], d
 
 
 def test_enumeration_halts_through_degree_twelve():

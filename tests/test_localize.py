@@ -1,9 +1,6 @@
 """Per-configuration assembly, side sums, and the invariants."""
 
-import functools
-import hashlib
 import io
-import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -12,27 +9,19 @@ import pytest
 
 from multicover import localize
 from multicover.cli import _print_breakdown
-from multicover.contributions import (
-    _step_coefficient,
-    end_contribution,
-    node_smoothing,
-    psi_integral,
-    ruled_contribution,
-)
-from multicover.exact import MONO_ONE, AlphaMonomial, alpha_flip
+from multicover.contributions import end_contribution, psi_integral, ruled_contribution
+from multicover.exact import AlphaMonomial, alpha_flip
 from multicover.fixedpoints import (
     Chain,
     Configuration,
     Contact,
     Family,
-    MonoH,
     MonoK,
     UnsupportedDegreeError,
     _step_candidates,
     base_tangent_weight,
     enumerate_chains,
     enumerate_configurations,
-    make_kind,
 )
 from multicover.localize import (
     DegreeZeroViolation,
@@ -42,117 +31,18 @@ from multicover.localize import (
     side_sum,
     step_factors,
 )
+from oracles import (
+    assert_oracle_agrees,
+    assert_state_count,
+    assert_step_coefficients_agree,
+    assert_value_structure,
+    cold_values,
+    mono,
+    pairwise_invariant,
+    product,
+)
 
 F = Fraction
-
-
-def mono(c, p=0):
-    return AlphaMonomial(F(*c) if isinstance(c, tuple) else F(c), p)
-
-
-def product(factors):
-    out = MONO_ONE
-    for f in factors:
-        out = out * f
-    return out
-
-
-@functools.lru_cache(maxsize=None)
-def monomial_state_sum(contact, m, w):
-    """The one-sided sum from state ``(contact, m, w)`` by a second path: the
-    same rows of :func:`_step_candidates`, less those with ``w + w_in == 0``,
-    but each term is the monomial ``node_smoothing * step_factors product *
-    tail``, its power checked against 2 - 3m before its coefficient is summed."""
-    total = F(0)
-    for kind, w_in, nxt in _step_candidates(contact, m):
-        if w + w_in == 0:
-            continue
-        term = node_smoothing(w, w_in) * product(f for _, f in step_factors(kind))
-        if nxt is not None:
-            term = term * monomial_state_sum(*nxt)
-        assert term.coeff == 0 or term.power == 2 - 3 * m, (kind.describe(), term)
-        total += term.coeff
-    return AlphaMonomial(total, 2 - 3 * m)
-
-
-def assert_oracle_agrees(degrees):
-    """side_sum against :func:`monomial_state_sum` at each degree; CI runs
-    this past tier-1's range with ``PYTHONPATH=src:tests``."""
-    for d in degrees:
-        oracle = monomial_state_sum(Contact.P0, d, base_tangent_weight(d))
-        assert side_sum(d, "zero") == oracle, d
-
-
-def assert_step_coefficients_agree(degrees):
-    """:func:`_step_coefficient` against the coefficient of the
-    :func:`step_factors` product, whose power must be 3*out - 3m + 1 on a
-    ruled row and 3 - 3m on an end row (the power the state sum assumes),
-    and the labels of :func:`step_factors`: ``main`` (a family's
-    ``main_psi_coeff`` and ``psi_integral``), ``divisor_tangent`` on a ruled
-    row and ``automorphisms`` unless q == 1, for every admitted kind of each
-    degree m; CI runs this past tier-1's range like
-    :func:`assert_oracle_agrees`."""
-    for m in degrees:
-        for contact in Contact:
-            for kind, _, _ in _step_candidates(contact, m):
-                factors = step_factors(kind)
-                expected = product(f for _, f in factors)
-                power = 3 - 3 * m if kind.is_end_bubble else 3 * kind.outgoing_exponent - 3 * m + 1
-                assert (_step_coefficient(kind), expected.power) == (expected.coeff, power), kind
-                s = kind.shape
-                q = m - (s.h if isinstance(s, MonoH) else s.k)
-                labels = ["main_psi_coeff", "psi_integral"] if isinstance(s, Family) else ["main"]
-                labels += ["divisor_tangent"] * (not kind.is_end_bubble) + ["automorphisms"] * (q != 1)
-                assert [label for label, _ in factors] == labels, kind
-
-
-# sha256 over the lines f"{d}\t{N_d}\n" for d = 2..60, the plain cap
-VALUES_DIGEST = "a1381674b5601d233554889024a0695fd4340e01a5c8bf450f2852957490ba72"
-
-# states in the table after a cold degree d: every bubble below d is built,
-# so bubbles the root does not reach, such as (P0, d - 1), add a few
-STATE_COUNTS = {10: 157, 20: 802, 40: 3592, 60: 8382}
-
-
-def cold_values(degrees):
-    """The invariants at ``degrees``, evaluated in that order from an empty
-    state table."""
-    localize._TABLE.clear()
-    return [multiple_cover_invariant(d) for d in degrees]
-
-
-def assert_values_digest(degrees=range(2, 61)):
-    """Every plain value up to the cap against :data:`VALUES_DIGEST`,
-    evaluated in the order of ``degrees`` from a cold table; CI runs this
-    ascending and descending beside :func:`assert_oracle_agrees`."""
-    values = dict(zip(degrees, cold_values(degrees)))
-    assert sorted(values) == list(range(2, 61))
-    lines = "".join(f"{d}\t{values[d]}\n" for d in sorted(values))
-    assert hashlib.sha256(lines.encode()).hexdigest() == VALUES_DIGEST
-
-
-def assert_state_count(d):
-    """The table's state count after a cold degree d, against
-    :data:`STATE_COUNTS`; CI runs this at d = 60."""
-    cold_values([d])
-    assert sum(len(sums) for _, _, sums in localize._TABLE.values()) == STATE_COUNTS[d], d
-
-
-def assert_value_structure(degrees):
-    """For each d, N_d's denominator has no prime factor above 3d and
-    -d*N_d is the square of a rational; tier-1 takes d = 2..40, CI the rest
-    of the plain cap."""
-    for d in degrees:
-        value = multiple_cover_invariant(d)
-        den = value.denominator
-        for p in range(2, 3 * d + 1):
-            while den % p == 0:
-                den //= p
-        assert den == 1, d
-        square = -d * value
-        assert square > 0, d
-        for n in (square.numerator, square.denominator):
-            assert math.isqrt(n) ** 2 == n, d
 
 
 def find_config(d, zero_shape, inf_shape):
@@ -339,7 +229,7 @@ def test_step_factors_match_bundles_and_chain_traces():
 
 @pytest.mark.parametrize("d", range(2, 9))
 def test_pairwise_matches_factored(d):
-    assert multiple_cover_invariant(d, method="pairwise") == multiple_cover_invariant(d)
+    assert pairwise_invariant(d) == multiple_cover_invariant(d)
 
 
 def test_order_independence():
@@ -352,17 +242,53 @@ def test_order_independence():
 
 
 def test_unknown_method_rejected():
-    with pytest.raises(ValueError):
-        multiple_cover_invariant(2, method="fast")
+    # one evaluation path: the chain-by-chain sum is the test oracle
+    # pairwise_invariant, and a method= keyword is no longer accepted
+    with pytest.raises(TypeError, match="unexpected keyword argument 'method'"):
+        multiple_cover_invariant(2, method="pairwise")
 
 
 def test_low_degree_propagates():
-    for d in (-1, 0, 1):
-        for method in ("factored", "pairwise"):
+    for d in (-1, 0, 1, True):
+        for evaluate in (multiple_cover_invariant, pairwise_invariant):
             with pytest.raises(UnsupportedDegreeError):
-                multiple_cover_invariant(d, method=method)
+                evaluate(d)
     with pytest.raises(UnsupportedDegreeError):
         side_sum(1, "zero")
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        multiple_cover_invariant,
+        lambda d: side_sum(d, "zero"),
+        enumerate_chains,
+        enumerate_configurations,
+    ],
+    ids=["multiple_cover_invariant", "side_sum", "enumerate_chains", "enumerate_configurations"],
+)
+@pytest.mark.parametrize(
+    "degree, shown",
+    [(2.0, "2.0 (float)"), ("3", "'3' (str)"), (F(3), "Fraction(3, 1) (Fraction)")],
+    ids=["float", "str", "Fraction"],
+)
+def test_degree_must_be_an_integer(entry, degree, shown):
+    # each library entry point takes the degree through operator.index
+    with pytest.raises(TypeError) as excinfo:
+        entry(degree)
+    assert str(excinfo.value) == f"degree must be an integer, got {shown}"
+
+
+def test_degree_read_through_index():
+    # an integer type other than int (a NumPy integer, say) counts as its index
+    class Three:
+        def __index__(self):
+            return 3
+
+    assert multiple_cover_invariant(Three()) == multiple_cover_invariant(3)
+    assert side_sum(Three(), "zero") == side_sum(3, "zero")
+    assert enumerate_chains(Three()) == enumerate_chains(3)
+    assert enumerate_configurations(Three()) == enumerate_configurations(3)
 
 
 # each per-configuration entry point names chain 2 of degree 3 when its
@@ -383,7 +309,7 @@ def test_nonzero_side_power_names_configuration(monkeypatch, entry):
     out = io.StringIO()
     evaluate = {
         "configuration": lambda: configuration_contribution(cfg),
-        "pairwise": lambda: multiple_cover_invariant(3, method="pairwise"),
+        "pairwise": lambda: pairwise_invariant(3),
         "breakdown": lambda: _print_breakdown(3, out),
     }[entry]
     with pytest.raises(DegreeZeroViolation) as excinfo:
