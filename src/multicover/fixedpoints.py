@@ -24,8 +24,8 @@ blow-up, so the chain continues with a bubble of degree e; e == 1 ends the
 chain.  The whole row model is one table and one rule:
 
 * ``_ROWS``, keyed by (contact, shape type), gives the next bubble's
-  contact (the chain automaton) and the numerator n of the source action
-  speed n / (m - e) of a degree-m bubble;
+  contact (the chain automaton) and the numerator n of a degree-m bubble's
+  source action speed n / (m - e), w0 / m for w0 the first of ``v4_weights``;
 * ``_row_refusal`` says why (contact, m, shape) is not a row, or None; it
   validates kinds, and ``_step_candidates`` lists once the rows it admits:
   families, then ``MonoH``, then ``MonoK``, each by ascending exponent.
@@ -75,13 +75,17 @@ class UnsupportedDegreeError(ValueError):
     """Cover degree outside the supported range (d >= 2)."""
 
 
-def _cover_degree(d) -> int:
-    """The cover degree d as an ``int``; a float, ``str`` or ``Fraction`` raises
-    a ``TypeError`` naming it, a degree below 2 UnsupportedDegreeError."""
+def _integer(name: str, value) -> int:
+    """``value`` as an ``int``; a float, ``str`` or ``Fraction`` raises a TypeError naming it."""
     try:
-        n = operator.index(d)
+        return operator.index(value)
     except TypeError:
-        raise TypeError(f"degree must be an integer, got {d!r} ({type(d).__name__})") from None
+        raise TypeError(f"{name} must be an integer, got {value!r} ({type(value).__name__})") from None
+
+
+def _cover_degree(d) -> int:
+    """The cover degree d by :func:`_integer`; below 2 it raises UnsupportedDegreeError."""
+    n = _integer("degree", d)
     if n < 2:
         raise UnsupportedDegreeError(f"degree must be at least 2, got {d!r}")
     return n
@@ -123,8 +127,7 @@ class NodeEnd(enum.Enum):
     NODE_OUT = "out"  # the node toward the next bubble (absent on end maps)
 
 
-# (contact, shape type) -> (next bubble's contact, numerator n of the source
-# action speed n / (m - e), e the outgoing exponent of a degree-m bubble)
+# (contact, shape type) -> (next bubble's contact, speed numerator n), as in the module docstring
 _ROWS = {
     (Contact.P0, Family): (Contact.P1, 2),
     (Contact.P1, Family): (Contact.P0, -2),
@@ -163,13 +166,21 @@ def _row_refusal(contact: Contact, d: int, s: Shape) -> Optional[str]:
 
 @dataclass(frozen=True)
 class FixedMapKind:
-    """One bubble component's fixed map: contact label, degree and shape."""
+    """One bubble component's fixed map: contact label, degree and shape, their
+    types checked once per built kind (``_row_refusal`` screens shapes, not types)."""
 
     contact: Contact
     degree: int
     shape: Shape
 
     def __post_init__(self):
+        if not isinstance(self.contact, Contact):
+            c = self.contact
+            raise TypeError(f"contact must be a Contact, got {c!r} ({type(c).__name__})")
+        _integer("degree", self.degree)
+        if isinstance(self.shape, (Family, MonoH, MonoK)):
+            for name, value in vars(self.shape).items():
+                _integer(name, value)
         refusal = _row_refusal(self.contact, self.degree, self.shape)
         if refusal is not None:
             raise InvalidKindError(refusal)
@@ -193,43 +204,29 @@ class FixedMapKind:
 
 def v4_weights(kind: FixedMapKind) -> Tuple[Fraction, Fraction, Fraction, Fraction]:
     """Weights of the torus action on the bubble's four coordinates, as
-    rational multiples of the equivariant parameter, in tabulated order."""
+    rational multiples of the equivariant parameter, in tabulated order.
+    With x = ``h`` on ``MonoH``, else ``k`` (a family has h = 2k - d), they
+    are one P0 and one P2 form over q = d - x per class, ``MonoH`` or not;
+    a P1 bubble carries its P0 twin's weights negated."""
     d, s, c = kind.degree, kind.shape, kind.contact
-    if isinstance(s, Family):
-        h, k = s.h, s.k
-        q = d - k
-        if c is Contact.P0:
-            return (Fraction(d, q), Fraction(h, q), Fraction(k, q), Fraction(0))
-        return (Fraction(-d, q), Fraction(-h, q), Fraction(-k, q), Fraction(0))
+    x = s.h if isinstance(s, MonoH) else s.k
     if isinstance(s, MonoH):
-        h = s.h
-        q = d - h
-        if c is Contact.P0:
-            return (Fraction(2 * d, q), Fraction(2 * h, q), Fraction(h + d, q), Fraction(0))
-        if c is Contact.P1:
-            return (Fraction(-2 * d, q), Fraction(-2 * h, q), Fraction(-h - d, q), Fraction(0))
-        return (Fraction(-d, q), Fraction(-h, q), Fraction(h - 2 * d, q), Fraction(0))
-    k = s.k
-    q = d - k
-    if c is Contact.P0:
-        return (Fraction(d, q), Fraction(2 * k - d, q), Fraction(k, q), Fraction(0))
-    if c is Contact.P1:
-        return (Fraction(-d, q), Fraction(d - 2 * k, q), Fraction(-k, q), Fraction(0))
-    return (Fraction(d, q), Fraction(2 * d - k, q), Fraction(k, q), Fraction(0))
-
-
-def _action_speed(kind: FixedMapKind) -> Fraction:
-    """Speed c of the induced source action [x;y] -> [t^(-c) x; y], from
-    equivariance of the monomial map against the bubble's weight pattern."""
-    n = _ROWS[kind.contact, type(kind.shape)][1]
-    return Fraction(n, kind.degree - kind.outgoing_exponent)
+        w = (-d, -x, x - 2 * d) if c is Contact.P2 else (2 * d, 2 * x, x + d)
+    else:
+        w = (d, 2 * d - x, x) if c is Contact.P2 else (d, 2 * x - d, x)
+    sign = -1 if c is Contact.P1 else 1
+    return (*(Fraction(sign * n, d - x) for n in w), Fraction(0))
 
 
 def source_tangent_weight(kind: FixedMapKind, end: NodeEnd) -> Fraction:
-    """Tangent weight of the source curve at the given node, as a rational
-    multiple of the equivariant parameter.  Opposite ends negate."""
-    c = _action_speed(kind)
-    return -c if end is NodeEnd.NODE_IN else c
+    """Tangent weight of the source curve at the given node, in units of the
+    equivariant parameter: at the outgoing node the source action's speed
+    n / (d - e), n from ``_ROWS`` and e the outgoing exponent (it equals w0 / d,
+    w0 the first of :func:`v4_weights`); the incoming node negates it."""
+    if not isinstance(end, NodeEnd):
+        raise TypeError(f"end must be a NodeEnd, got {end!r} ({type(end).__name__})")
+    n = _ROWS[kind.contact, type(kind.shape)][1]
+    return Fraction(-n if end is NodeEnd.NODE_IN else n, kind.degree - kind.outgoing_exponent)
 
 
 def base_tangent_weight(d: int) -> Fraction:
@@ -290,9 +287,9 @@ class Configuration:
     chain_infinity: Chain
 
     def __post_init__(self):
-        for chain in (self.chain_zero, self.chain_infinity):
-            if chain.degree != self.cover_degree:
-                raise ValueError("chain degree must equal the cover degree")
+        d = _cover_degree(self.cover_degree)
+        if {self.chain_zero.degree, self.chain_infinity.degree} != {d}:
+            raise ValueError("chain degree must equal the cover degree")
 
     def describe(self) -> str:
         return (

@@ -33,25 +33,26 @@ The state sum carries no power of ``a``: a row's power is fixed by its
 kind, so every degree-m state's sum has power 2 - 3m by construction.
 
 Chains are enumerated one by one, by :func:`fixedpoints.enumerate_chains`,
-only for ``--breakdown`` and the per-configuration API, which keep the
-monomial arithmetic; the chain-by-chain sum is a test oracle.  A caller
-traces and multiplies each chain once, from :func:`chain_factors` and not
-from the table, and keeps nothing once it returns.  That product's power
-of ``a`` is the one power checked at run time: it must be 2 - 3d, and a
-wrong one names the chain.  Both sides' records come from it, the zero
-side led by the base factor and the infinity side flipped a -> -a, so a
-configuration costs one product of two plain coefficients.
+only for ``--breakdown``, the per-configuration API and the test oracles.
+A caller traces each chain once, from :func:`chain_factors` and not from
+the table, and keeps nothing once it returns.  The trace's powers of ``a``
+are summed and checked, the one power checked at run time: 2 - 3d, or the
+error names the chain.  Its coefficients multiply into the two sides'
+coefficients, so a configuration costs one product of two numbers, and a
+side's labelled trace, the zero side led by the base factor and the
+infinity side flipped a -> -a, is built only when a caller reads it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
 from .contributions import _step_coefficient, base_contribution, node_smoothing, step_factors
-from .exact import MONO_ONE, AlphaMonomial, alpha_flip
+from .exact import AlphaMonomial, alpha_flip
 from .fixedpoints import (
     Chain,
     Configuration,
@@ -143,23 +144,24 @@ def _table_sum(contact: Contact, m: int, w: Fraction) -> Fraction:
 
 def _chain_record(chain: Chain) -> tuple:
     """``((zero_trace, zero_coeff), (infinity_trace, infinity_coeff))`` of
-    one chain of degree d: the labelled :func:`chain_factors` prefixed
-    ``zero.`` and led by the ``base`` factor, and prefixed ``infinity.`` and
-    flipped a -> -a, each with the coefficient of its product.  The power
-    of ``a`` of the factors' product P is checked first, once: 2 - 3d, so
-    base * P has power 3d - 2 and flip(P) keeps 2 - 3d."""
+    one chain of degree d: iterators over the labelled :func:`chain_factors`
+    prefixed ``zero.`` and led by the ``base`` factor, and prefixed
+    ``infinity.`` and flipped a -> -a, with the coefficients of their products.
+    The factors' powers of ``a`` sum to that of their product P, checked first:
+    2 - 3d, so base * P has power 3d - 2 and flip(P) keeps 2 - 3d."""
     factors = chain_factors(chain)
-    product = math.prod((m for _, m in factors), start=MONO_ONE)
+    power = sum(m.power for _, m in factors)
     expected = 2 - 3 * chain.degree
-    if product.power != expected:
+    if power != expected:
         lines = "\n".join(f"  {label} = {value}" for label, value in factors)
         raise DegreeZeroViolation(
-            f"chain {chain.describe()} has power {product.power}, "
+            f"chain {chain.describe()} has power {power}, "
             f"expected {expected}; trace:\n{lines}"
         )
+    product = AlphaMonomial(math.prod(m.coeff for _, m in factors), power)
     base = base_contribution(chain.degree)
-    zero = (("base", base),) + tuple((f"zero.{label}", m) for label, m in factors)
-    infinity = tuple((f"infinity.{label}", alpha_flip(m)) for label, m in factors)
+    zero = itertools.chain((("base", base),), ((f"zero.{label}", m) for label, m in factors))
+    infinity = ((f"infinity.{label}", alpha_flip(m)) for label, m in factors)
     return (zero, base.coeff * product.coeff), (infinity, alpha_flip(product).coeff)
 
 
@@ -168,7 +170,7 @@ def configuration_contribution(cfg: Configuration) -> ConfigurationReport:
     (zero_trace, zero_coeff), _ = _chain_record(cfg.chain_zero)
     _, (infinity_trace, infinity_coeff) = _chain_record(cfg.chain_infinity)
     return ConfigurationReport(
-        cfg, zero_trace + infinity_trace, AlphaMonomial(zero_coeff * infinity_coeff)
+        cfg, (*zero_trace, *infinity_trace), AlphaMonomial(zero_coeff * infinity_coeff)
     )
 
 

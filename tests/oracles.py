@@ -29,9 +29,12 @@ from multicover.fixedpoints import (
     FixedMapKind,
     MonoH,
     MonoK,
+    NodeEnd,
     _step_candidates,
     base_tangent_weight,
     enumerate_chains,
+    source_tangent_weight,
+    v4_weights,
 )
 from multicover.localize import multiple_cover_invariant, side_sum
 
@@ -152,6 +155,22 @@ def assert_step_coefficients_agree(degrees):
                 labels = ["main_psi_coeff", "psi_integral"] if isinstance(s, Family) else ["main"]
                 labels += ["divisor_tangent"] * (not kind.is_end_bubble) + ["automorphisms"] * (q != 1)
                 assert [label for label, _ in factors] == labels, kind
+
+
+def assert_weights_agree(degrees):
+    """For every row of :func:`_step_candidates` of each degree m, the
+    outgoing node weight of ``_ROWS`` against the weight table of
+    :func:`v4_weights` twice: as w0 / m, and as (w0 - w_slot) / (m - out)
+    with w_slot the ``MonoK`` slot's weight w2, else w1; tier-1 takes
+    m = 2..39, CI m = 40..90."""
+    for m in degrees:
+        for contact in Contact:
+            for kind, _, _ in _step_candidates(contact, m):
+                out = source_tangent_weight(kind, NodeEnd.NODE_OUT)
+                w = v4_weights(kind)
+                w_slot = w[2] if isinstance(kind.shape, MonoK) else w[1]
+                assert out == w[0] / m, kind
+                assert out == (w[0] - w_slot) / (m - kind.outgoing_exponent), kind
 
 
 # sha256 over the lines f"{d}\t{N_d}\n" for d = 2..60, the plain cap

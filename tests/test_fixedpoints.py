@@ -1,5 +1,6 @@
 """Fixed-map classification, weights, transitions, and enumeration."""
 
+import hashlib
 import os
 import pickle
 import subprocess
@@ -21,7 +22,6 @@ from multicover.fixedpoints import (
     MonoK,
     NodeEnd,
     UnsupportedDegreeError,
-    _action_speed,
     _step_candidates,
     base_tangent_weight,
     enumerate_chains,
@@ -30,7 +30,7 @@ from multicover.fixedpoints import (
     transition,
     v4_weights,
 )
-from oracles import all_kinds, assert_chain_digests, walk_rows
+from oracles import all_kinds, assert_chain_digests, assert_weights_agree, walk_rows
 
 F = Fraction
 SRC = str(Path(multicover.__file__).resolve().parents[1])
@@ -50,6 +50,22 @@ def test_v4_weights_monok_row():
 def test_v4_weights_monoh_at_p2():
     w = v4_weights(FixedMapKind(Contact.P2, 2, MonoH(1)))
     assert w == (F(-2), F(-1), F(-3), F(0))
+
+
+# sha256 over the lines f"{kind.describe()}\t{w0} {w1} {w2} {w3}\n" of
+# v4_weights, for every row of _step_candidates with m = 2..39, in listing order
+WEIGHTS_DIGEST = "1605882f26a7f1807409dbac287d9d9a7df9bf4a49becce25141d01c4a5177bf"
+
+
+def test_weight_table_digest():
+    lines = "".join(
+        f"{fk.describe()}\t{' '.join(map(str, v4_weights(fk)))}\n"
+        for m in range(2, 40)
+        for contact in Contact
+        for fk, _, _ in _step_candidates(contact, m)
+    )
+    assert lines.count("\n") == 4372
+    assert hashlib.sha256(lines.encode()).hexdigest() == WEIGHTS_DIGEST
 
 
 def test_family_weights_reflect_exponent_relation():
@@ -79,14 +95,16 @@ def test_base_weight_orientation():
 
 
 def test_action_speed_matches_weight_table():
-    # the hand-written speeds are the weight table's c = (w0 - w_slot) / (d - e)
-    for m in range(2, 13):
-        for contact in Contact:
-            for fk, _, _ in _step_candidates(contact, m):
-                w = v4_weights(fk)
-                slot = 2 if isinstance(fk.shape, MonoK) else 1
-                expected = (w[0] - w[slot]) / (fk.degree - fk.outgoing_exponent)
-                assert _action_speed(fk) == expected, fk.describe()
+    # the speed column of _ROWS, read by source_tangent_weight at the outgoing
+    # node, against the weight table: w0 / m and (w0 - w_slot) / (m - e)
+    assert_weights_agree(range(2, 40))
+
+
+def test_tangent_weight_refuses_a_string_end():
+    # "in" is not NodeEnd.NODE_IN: it must not read as the outgoing node
+    fk = FixedMapKind(Contact.P0, 2, MonoK(1))
+    with pytest.raises(TypeError, match=r"^end must be a NodeEnd, got 'in' \(str\)$"):
+        source_tangent_weight(fk, "in")
 
 
 def test_opposite_ends_carry_opposite_weights():
@@ -177,6 +195,30 @@ def test_kind_degree_and_shape_checked():
         FixedMapKind(Contact.P0, 1, MonoK(1))
     with pytest.raises(InvalidKindError, match="unknown shape"):
         FixedMapKind(Contact.P0, 3, "MonoK")
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (
+            lambda: FixedMapKind(Contact.P0, 3.0, MonoK(2)),
+            "degree must be an integer, got 3.0 (float)",
+        ),
+        (lambda: FixedMapKind(Contact.P0, 3, MonoK(2.0)), "k must be an integer, got 2.0 (float)"),
+        (lambda: FixedMapKind(Contact.P2, 4, MonoH("3")), "h must be an integer, got '3' (str)"),
+        (lambda: FixedMapKind("P0", 3, MonoK(2)), "contact must be a Contact, got 'P0' (str)"),
+        (
+            lambda: Configuration(2.0, *enumerate_chains(2)),
+            "degree must be an integer, got 2.0 (float)",
+        ),
+    ],
+    ids=["degree", "k", "h", "contact", "configuration"],
+)
+def test_kinds_and_configurations_refuse_wrong_types(build, message):
+    # the value and its type are named when the object is built, not on first use
+    with pytest.raises(TypeError) as excinfo:
+        build()
+    assert str(excinfo.value) == message
 
 
 def test_end_flag_follows_outgoing_exponent():
