@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional
 
+from .contributions import base_contribution
 from .exact import FactoredFormatError, FactoredRational, _parse_int, format_factored
 from .fixedpoints import enumerate_chains
 from .localize import _chain_record, multiple_cover_invariant
@@ -78,7 +79,8 @@ def _print_breakdown(d: int, out) -> Fraction:
     raises before the first record; a record is then one product of two
     checked side coefficients.  Returns (Σ zero)·(Σ infinity) of those, which
     by exact distributivity is the records' totals summed."""
-    rendered = [_render(chain) for chain in enumerate_chains(d)]
+    base = base_contribution(d)
+    rendered = [_render(chain, base) for chain in enumerate_chains(d)]
     for (zero, (lines0, coeff0), _), (infinity, _, (lines1, coeff1)) in itertools.product(
         rendered, repeat=2
     ):
@@ -88,12 +90,12 @@ def _print_breakdown(d: int, out) -> Fraction:
     return sum(z for _, (_, z), _ in rendered) * sum(i for _, _, (_, i) in rendered)
 
 
-def _render(chain) -> tuple:
+def _render(chain, base) -> tuple:
     """A chain's description, then its factor lines and checked coefficient
-    on the zero side and on the infinity side."""
+    on the zero side, led by the base factor ``base``, and on the infinity side."""
     return chain.describe(), *(
         ("".join(f"factor.{label}={value}\n" for label, value in trace), coeff)
-        for trace, coeff in _chain_record(chain)
+        for trace, coeff in _chain_record(chain, base)
     )
 
 

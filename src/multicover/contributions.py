@@ -35,13 +35,14 @@ line (an extra automorphism), so their sigma is -1.
 ``main_psi_coeff``, then ``psi_integral``, as psi integrates to -1/(d-h)
 over the one-dimensional locus, so no product of two psi classes arises),
 ``divisor_tangent`` on a ruled map, and ``automorphisms`` unless q == 1.
-Its readers derive no factor themselves: :func:`step_factors` (the chain
-traces) makes each entry a monomial, :func:`_step_coefficient` (the state
-sum) multiplies the integers into one ``Fraction``, and the bundles keep
-all but the psi integral.  So the state sum and the chain traces agree by
-construction.  The product's power of ``a`` is fixed by the kind
-(3*out - 3d + 1 on a ruled map, 3 - 3d on an end map), so the state sum
-carries no power.
+It has two readers, neither deriving a factor: :func:`step_factors` makes
+each entry a monomial, for the chain traces and the bundles (all but the
+psi integral), and :func:`_step_coefficient` multiplies the integers into
+one ``Fraction`` for the state sum, so all three agree by construction.
+:func:`ruled_contribution` refuses an end kind, :func:`end_contribution` a
+ruled one.  The product's power of ``a`` is fixed by the kind (3*out - 3d
++ 1 on a ruled map, 3 - 3d on an end map), so the state sum carries no
+power.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from functools import lru_cache
 from typing import List, Tuple
 
 from .exact import AlphaMonomial, MONO_ONE
-from .fixedpoints import Contact, Family, FixedMapKind, MonoH, MonoK
+from .fixedpoints import Contact, Family, FixedMapKind, MonoH, MonoK, _integer
 
 __all__ = [
     "FactorBundle",
@@ -95,8 +96,9 @@ class FactorBundle:
 def base_contribution(d: int) -> AlphaMonomial:
     """Factor of the degree-d base component, automorphisms included:
     (-1)^(3d-1)/d * a^(6d-4) * (d! (2d)! / d^(3d))^2."""
+    d = _integer("degree", d)
     if d < 1:
-        raise ValueError("base component degree must be >= 1")
+        raise ValueError(f"base component degree must be >= 1, got {d}")
     coeff = Fraction((-1) ** (3 * d - 1), d) * Fraction(
         math.factorial(d) * math.factorial(2 * d), d ** (3 * d)
     ) ** 2
@@ -120,15 +122,16 @@ def _family_sum(d: int, h: int, k: int) -> Fraction:
 
 def psi_integral(d: int, h: int) -> Fraction:
     """Integral of psi over a one-dimensional family locus: -1/(d-h)."""
+    d, h = _integer("degree", d), _integer("h", h)
     if not 1 <= h <= d - 1:
         raise ValueError(f"psi integral needs 1 <= h <= d-1, got (d={d}, h={h})")
     return Fraction(-1, d - h)
 
 
-def _factors(kind: FixedMapKind, end: bool) -> List[Tuple[str, int, int, int]]:
+def _factors(kind: FixedMapKind) -> List[Tuple[str, int, int, int]]:
     """The listing of the module docstring, n/r not reduced and e < 0 on
-    the main factor, for an end map when ``end`` is set, else a ruled one."""
-    d, s, c = kind.degree, kind.shape, kind.contact
+    the main factor."""
+    d, s, c, end = kind.degree, kind.shape, kind.contact, kind.is_end_bubble
     family = isinstance(s, Family)
     x = s.h if isinstance(s, MonoH) else s.k
     q = d - x
@@ -155,9 +158,9 @@ def _factors(kind: FixedMapKind, end: bool) -> List[Tuple[str, int, int, int]]:
     return factors
 
 
-def _bundle(kind: FixedMapKind, end: bool) -> FactorBundle:
-    """The factors of :func:`_factors` but a family's psi integral."""
-    f = {label: AlphaMonomial(Fraction(n, r), e) for label, n, r, e in _factors(kind, end)}
+def _bundle(kind: FixedMapKind) -> FactorBundle:
+    """The factors of :func:`step_factors` but a family's psi integral."""
+    f = dict(step_factors(kind))
     return FactorBundle(
         f.get("main") or f["main_psi_coeff"],
         f.get("divisor_tangent", MONO_ONE),
@@ -166,13 +169,10 @@ def _bundle(kind: FixedMapKind, end: bool) -> FactorBundle:
 
 
 def ruled_contribution(kind: FixedMapKind) -> FactorBundle:
-    """Tabulated factors for a map to a ruled bubble (one point blown up).
-
-    The formula is total in (contact, shape, degree), so end-shaped kinds
-    evaluate too; no value path reads this bundle: :func:`step_factors` and
-    :func:`_step_coefficient` pick the end formula by ``kind.is_end_bubble``.
-    """
-    return _bundle(kind, end=False)
+    """Tabulated factors for a map to a ruled bubble (one point blown up)."""
+    if kind.is_end_bubble:
+        raise ValueError(f"{kind.describe()} is an end-bubble map")
+    return _bundle(kind)
 
 
 def end_contribution(kind: FixedMapKind) -> FactorBundle:
@@ -180,7 +180,7 @@ def end_contribution(kind: FixedMapKind) -> FactorBundle:
     divisor-tangent factor, but still the automorphism scale 1/q."""
     if not kind.is_end_bubble:
         raise ValueError(f"{kind.describe()} is a ruled-bubble map")
-    return _bundle(kind, end=True)
+    return _bundle(kind)
 
 
 @lru_cache(maxsize=None)
@@ -189,15 +189,14 @@ def step_factors(kind: FixedMapKind) -> Tuple[Tuple[str, AlphaMonomial], ...]:
     frame: the entries of :func:`_factors` as monomials, labelled ``main``
     (or ``main_psi_coeff``, ``psi_integral``), ``divisor_tangent``,
     ``automorphisms``."""
-    factors = _factors(kind, kind.is_end_bubble)
-    return tuple((label, AlphaMonomial(Fraction(n, r), e)) for label, n, r, e in factors)
+    return tuple((label, AlphaMonomial(Fraction(n, r), e)) for label, n, r, e in _factors(kind))
 
 
 def _step_coefficient(kind: FixedMapKind) -> Fraction:
     """Coefficient of the product of :func:`step_factors`: the integers of
     :func:`_factors` multiplied into one ``Fraction``, no monomial built."""
     num = den = 1
-    for _, n, r, _ in _factors(kind, kind.is_end_bubble):
+    for _, n, r, _ in _factors(kind):
         num, den = num * n, den * r
     return Fraction(num, den)
 

@@ -237,6 +237,9 @@ def base_tangent_weight(d: int) -> Fraction:
     enters directly.  The orientation is pinned by the degree-2 smoothing
     factors -2/(3a) and -2/(5a).
     """
+    d = _integer("degree", d)
+    if d < 1:
+        raise ValueError(f"base component degree must be >= 1, got {d}")
     return Fraction(-1, d)
 
 

@@ -142,10 +142,11 @@ def _table_sum(contact: Contact, m: int, w: Fraction) -> Fraction:
     return sums[p, q]
 
 
-def _chain_record(chain: Chain) -> tuple:
+def _chain_record(chain: Chain, base: AlphaMonomial) -> tuple:
     """``((zero_trace, zero_coeff), (infinity_trace, infinity_coeff))`` of
     one chain of degree d: iterators over the labelled :func:`chain_factors`
-    prefixed ``zero.`` and led by the ``base`` factor, and prefixed
+    prefixed ``zero.`` and led by ``base``, the degree-d base factor that a
+    caller builds once for all its chains, and prefixed
     ``infinity.`` and flipped a -> -a, with the coefficients of their products.
     The factors' powers of ``a`` sum to that of their product P, checked first:
     2 - 3d, so base * P has power 3d - 2 and flip(P) keeps 2 - 3d."""
@@ -159,7 +160,6 @@ def _chain_record(chain: Chain) -> tuple:
             f"expected {expected}; trace:\n{lines}"
         )
     product = AlphaMonomial(math.prod(m.coeff for _, m in factors), power)
-    base = base_contribution(chain.degree)
     zero = itertools.chain((("base", base),), ((f"zero.{label}", m) for label, m in factors))
     infinity = ((f"infinity.{label}", alpha_flip(m)) for label, m in factors)
     return (zero, base.coeff * product.coeff), (infinity, alpha_flip(product).coeff)
@@ -167,8 +167,9 @@ def _chain_record(chain: Chain) -> tuple:
 
 def configuration_contribution(cfg: Configuration) -> ConfigurationReport:
     """Labeled factor trace and degree-zero total of one configuration."""
-    (zero_trace, zero_coeff), _ = _chain_record(cfg.chain_zero)
-    _, (infinity_trace, infinity_coeff) = _chain_record(cfg.chain_infinity)
+    base = base_contribution(cfg.cover_degree)
+    (zero_trace, zero_coeff), _ = _chain_record(cfg.chain_zero, base)
+    _, (infinity_trace, infinity_coeff) = _chain_record(cfg.chain_infinity, base)
     return ConfigurationReport(
         cfg, (*zero_trace, *infinity_trace), AlphaMonomial(zero_coeff * infinity_coeff)
     )

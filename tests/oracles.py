@@ -20,7 +20,12 @@ import math
 from fractions import Fraction
 
 from multicover import localize
-from multicover.contributions import _step_coefficient, node_smoothing, step_factors
+from multicover.contributions import (
+    _step_coefficient,
+    base_contribution,
+    node_smoothing,
+    step_factors,
+)
 from multicover.exact import MONO_ONE, AlphaMonomial
 from multicover.fixedpoints import (
     Chain,
@@ -58,8 +63,11 @@ def pairwise_invariant(d):
     """The degree-d invariant chain by chain: the sum of the chains' checked
     zero-side coefficients times the sum of their infinity-side ones, equal
     to the N^2 configurations' sum by exactness.  It keeps two coefficients
-    per chain and nothing once it returns."""
-    pairs = [(z, i) for (_, z), (_, i) in map(localize._chain_record, enumerate_chains(d))]
+    per chain and nothing once it returns; the base factor is built once, after
+    enumerate_chains has refused a degree below 2."""
+    chains = enumerate_chains(d)
+    base = base_contribution(d)
+    pairs = [(z, i) for (_, z), (_, i) in (localize._chain_record(c, base) for c in chains)]
     return sum(z for z, _ in pairs) * sum(i for _, i in pairs)
 
 

@@ -1,6 +1,9 @@
 """Command-line surface: compute, verify, breakdown, table loading."""
 
+import ast
 import hashlib
+import importlib
+import inspect
 import io
 import os
 import shutil
@@ -543,3 +546,26 @@ def test_write_error_exits_ioerr():
     assert done.stderr.decode().splitlines() == [
         "cannot write output: [Errno 28] No space left on device"
     ]
+
+
+def test_traced_bench_wraps_defined_names():
+    # the span tracer of the traced bench run wraps each name of its WRAPPED
+    # table by getattr(multicover.<layer>, name), and from_text as a
+    # classmethod, so a renamed layer function would break every traced run;
+    # the table is read as data, without importing the bench
+    spans = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    (table,) = [
+        node.value
+        for node in ast.parse(spans.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "WRAPPED"
+    ]
+    wrapped = ast.literal_eval(table)
+    assert wrapped
+    missing = [
+        f"{layer}.{name}"
+        for layer, names in wrapped.items()
+        for name in names
+        if not callable(getattr(importlib.import_module(f"multicover.{layer}"), name, None))
+    ]
+    assert missing == []
+    assert isinstance(inspect.getattr_static(FactoredRational, "from_text"), classmethod)

@@ -21,6 +21,7 @@ from multicover.fixedpoints import (
     MonoH,
     MonoK,
     NodeEnd,
+    base_tangent_weight,
     source_tangent_weight,
 )
 from oracles import all_kinds, family_sum_loop, mono
@@ -35,10 +36,13 @@ def test_base_double_cover():
 
 
 def test_base_degree_one():
-    # direct evaluation of the closed form
+    # direct evaluation of the closed form; below 1 there is no base component
     assert base_contribution(1) == mono(4, 2)
-    with pytest.raises(ValueError, match=">= 1"):
-        base_contribution(0)
+    assert base_tangent_weight(1) == -1
+    for d in (0, -3):
+        for evaluate in (base_contribution, base_tangent_weight):
+            with pytest.raises(ValueError, match=f">= 1, got {d}$"):
+                evaluate(d)
 
 
 def test_base_degree_three():
@@ -63,22 +67,11 @@ def test_ruled_monok_value():
     assert bundle.automorphism_scale == 1
 
 
-def test_ruled_monok_evaluates_end_shaped_kind():
-    # the expression itself at (d, k) = (2, 1)
-    bundle = ruled_contribution(FixedMapKind(Contact.P0, 2, MonoK(1)))
-    assert bundle.main == mono((-1, 2), -4)
-
-
 def test_ruled_monoh_value():
     bundle = ruled_contribution(FixedMapKind(Contact.P0, 4, MonoH(3)))
     assert bundle.main == mono((1, 8), -4)
     assert bundle.auxiliary == mono(2, 2)
     assert bundle.automorphism_scale == 1
-
-
-def test_ruled_monoh_expression_at_degree_two():
-    bundle = ruled_contribution(FixedMapKind(Contact.P0, 2, MonoH(1)))
-    assert bundle.main == mono((1, 8), -4)
 
 
 def test_ruled_family_psi_coefficient():
@@ -98,16 +91,22 @@ def test_family_sum_closed_form_matches_loop():
         assert _family_sum(d, h, k) == family_sum_loop(d, h, k), (d, h, k)
 
 
-def test_ruled_family_vanishes_at_unit_exponent():
-    bundle = ruled_contribution(FixedMapKind(Contact.P0, 3, Family(1, 2)))
-    assert bundle.main.coeff == 0
-
-
 def test_ruled_monok_scale():
     bundle = ruled_contribution(FixedMapKind(Contact.P0, 4, MonoK(2)))
     assert bundle.automorphism_scale == F(1, 2)
     # (-1/2) * 1/(2! 4!) * (1/2)^(-7)
     assert bundle.main == mono((-4, 3), -7)
+
+
+@pytest.mark.parametrize(
+    "d, shape", [(2, MonoK(1)), (2, MonoH(1)), (3, Family(1, 2))], ids=["MonoK", "MonoH", "Family"]
+)
+def test_ruled_refuses_end_kind(d, shape):
+    # an end map has no outgoing node, so it has no ruled bundle
+    kind = FixedMapKind(Contact.P0, d, shape)
+    with pytest.raises(ValueError) as excinfo:
+        ruled_contribution(kind)
+    assert str(excinfo.value) == f"{kind.describe()} is an end-bubble map"
 
 
 def test_p2_rows_keep_positive_divisor_tangent():

@@ -9,7 +9,12 @@ import pytest
 
 from multicover import localize
 from multicover.cli import _print_breakdown
-from multicover.contributions import end_contribution, psi_integral, ruled_contribution
+from multicover.contributions import (
+    base_contribution,
+    end_contribution,
+    psi_integral,
+    ruled_contribution,
+)
 from multicover.exact import AlphaMonomial, alpha_flip
 from multicover.fixedpoints import (
     Chain,
@@ -264,8 +269,19 @@ def test_low_degree_propagates():
         lambda d: side_sum(d, "zero"),
         enumerate_chains,
         enumerate_configurations,
+        base_contribution,
+        base_tangent_weight,
+        lambda d: psi_integral(d, 1),
     ],
-    ids=["multiple_cover_invariant", "side_sum", "enumerate_chains", "enumerate_configurations"],
+    ids=[
+        "multiple_cover_invariant",
+        "side_sum",
+        "enumerate_chains",
+        "enumerate_configurations",
+        "base_contribution",
+        "base_tangent_weight",
+        "psi_integral",
+    ],
 )
 @pytest.mark.parametrize(
     "degree, shown",
