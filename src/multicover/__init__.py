@@ -16,7 +16,6 @@ from .fixedpoints import (
     FixedMapKind,
     MonoH,
     MonoK,
-    NodeEnd,
     UnsupportedDegreeError,
     enumerate_chains,
     enumerate_configurations,

@@ -33,9 +33,6 @@ __all__ = [
     "is_prime",
 ]
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
 
 @dataclass(frozen=True)
 class AlphaMonomial:
@@ -54,14 +51,16 @@ class AlphaMonomial:
         coeff = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
         power = self.power
         if coeff == 0:
-            coeff, power = _ZERO, 0
+            power = 0
         object.__setattr__(self, "coeff", coeff)
         object.__setattr__(self, "power", operator.index(power))  # a float raises
 
     def __mul__(self, other: "AlphaMonomial") -> "AlphaMonomial":
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, AlphaMonomial):
+            return AlphaMonomial(self.coeff * other.coeff, self.power + other.power)
+        if isinstance(other, (int, Fraction)):  # Python raises the TypeError for anything else
             return AlphaMonomial(self.coeff * other, self.power)
-        return AlphaMonomial(self.coeff * other.coeff, self.power + other.power)
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -69,7 +68,7 @@ class AlphaMonomial:
         return f"{self.coeff}*a^{self.power}"
 
 
-MONO_ONE = AlphaMonomial(_ONE, 0)
+MONO_ONE = AlphaMonomial(1)
 
 
 def alpha_flip(x: AlphaMonomial) -> AlphaMonomial:

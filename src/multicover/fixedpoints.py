@@ -23,9 +23,9 @@ A map ramified at its far point (outgoing exponent e >= 2) forces another
 blow-up, so the chain continues with a bubble of degree e; e == 1 ends the
 chain.  The whole row model is one table and one rule:
 
-* ``_ROWS``, keyed by (contact, shape type), gives the next bubble's
-  contact (the chain automaton) and the numerator n of a degree-m bubble's
-  source action speed n / (m - e), w0 / m for w0 the first of ``v4_weights``;
+* ``_ROWS``, keyed by (contact, shape type), gives the next bubble's contact
+  (the chain automaton) and the numerator n of a degree-m bubble's incoming
+  node weight -n / (m - e), the one node weight ``source_tangent_weight`` gives;
 * ``_row_refusal`` says why (contact, m, shape) is not a row, or None; it
   validates kinds, and ``_step_candidates`` lists once the rows it admits:
   families, then ``MonoH``, then ``MonoK``, each by ascending exponent.
@@ -55,7 +55,6 @@ __all__ = [
     "Family",
     "MonoH",
     "MonoK",
-    "NodeEnd",
     "FixedMapKind",
     "Chain",
     "Configuration",
@@ -120,11 +119,6 @@ class MonoK:
 
 
 Shape = Union[Family, MonoH, MonoK]
-
-
-class NodeEnd(enum.Enum):
-    NODE_IN = "in"    # the node toward the base / previous bubble
-    NODE_OUT = "out"  # the node toward the next bubble (absent on end maps)
 
 
 # (contact, shape type) -> (next bubble's contact, speed numerator n), as in the module docstring
@@ -218,15 +212,13 @@ def v4_weights(kind: FixedMapKind) -> Tuple[Fraction, Fraction, Fraction, Fracti
     return (*(Fraction(sign * n, d - x) for n in w), Fraction(0))
 
 
-def source_tangent_weight(kind: FixedMapKind, end: NodeEnd) -> Fraction:
-    """Tangent weight of the source curve at the given node, in units of the
-    equivariant parameter: at the outgoing node the source action's speed
-    n / (d - e), n from ``_ROWS`` and e the outgoing exponent (it equals w0 / d,
-    w0 the first of :func:`v4_weights`); the incoming node negates it."""
-    if not isinstance(end, NodeEnd):
-        raise TypeError(f"end must be a NodeEnd, got {end!r} ({type(end).__name__})")
+def source_tangent_weight(kind: FixedMapKind) -> Fraction:
+    """Tangent weight of the source curve at its incoming node, in units of the
+    equivariant parameter: -n / (d - e), n from ``_ROWS`` and e the outgoing
+    exponent.  The outgoing node's weight is its negative, which equals w0 / d
+    for w0 the first of :func:`v4_weights`."""
     n = _ROWS[kind.contact, type(kind.shape)][1]
-    return Fraction(-n if end is NodeEnd.NODE_IN else n, kind.degree - kind.outgoing_exponent)
+    return Fraction(-n, kind.degree - kind.outgoing_exponent)
 
 
 def base_tangent_weight(d: int) -> Fraction:
@@ -291,8 +283,9 @@ class Configuration:
 
     def __post_init__(self):
         d = _cover_degree(self.cover_degree)
-        if {self.chain_zero.degree, self.chain_infinity.degree} != {d}:
-            raise ValueError("chain degree must equal the cover degree")
+        zero, infinity = self.chain_zero.degree, self.chain_infinity.degree
+        if {zero, infinity} != {d}:
+            raise ValueError(f"chain degrees {zero} and {infinity} must equal the cover degree {d}")
 
     def describe(self) -> str:
         return (
@@ -313,7 +306,7 @@ def _step_candidates(contact: Contact, m: int) -> Tuple[tuple, ...]:
     for s in shapes:
         if _row_refusal(contact, m, s) is None:
             kind = FixedMapKind(contact, m, s)
-            w_in = source_tangent_weight(kind, NodeEnd.NODE_IN)
+            w_in = source_tangent_weight(kind)
             nxt = transition(kind)
             rows.append((kind, w_in, None if nxt is None else (*nxt, -w_in)))
     return tuple(rows)

@@ -51,13 +51,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
-from .contributions import _step_coefficient, base_contribution, node_smoothing, step_factors
+from .contributions import (
+    DegenerateNodeError, _step_coefficient, base_contribution, node_smoothing, step_factors
+)
 from .exact import AlphaMonomial, alpha_flip
 from .fixedpoints import (
     Chain,
     Configuration,
     Contact,
-    NodeEnd,
     _cover_degree,
     _step_candidates,
     base_tangent_weight,
@@ -97,13 +98,18 @@ def chain_factors(chain: Chain) -> Tuple[Tuple[str, AlphaMonomial], ...]:
     """Ordered multiplicative factors of one chain, in the 0-side frame.
 
     Labels: ``smooth[a->b]`` for node smoothings and ``step<i>.<label>``
-    for the labels of :func:`step_factors`.
+    for the labels of :func:`step_factors`.  A node whose two weights sum to
+    zero raises :class:`DegenerateNodeError` naming the chain and the node.
     """
     factors: List[Tuple[str, AlphaMonomial]] = []
     w = base_tangent_weight(chain.degree)
     for i, step in enumerate(chain.steps, 1):
-        w_in = source_tangent_weight(step, NodeEnd.NODE_IN)
-        factors.append((f"smooth[{i - 1 or 'base'}->{i}]", node_smoothing(w, w_in)))
+        w_in = source_tangent_weight(step)
+        node = f"smooth[{i - 1 or 'base'}->{i}]"
+        try:
+            factors.append((node, node_smoothing(w, w_in)))
+        except DegenerateNodeError as exc:
+            raise DegenerateNodeError(f"chain {chain.describe()} at {node}: {exc}") from None
         factors.extend((f"step{i}.{label}", m) for label, m in step_factors(step))
         w = -w_in
     return tuple(factors)

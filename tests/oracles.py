@@ -34,7 +34,6 @@ from multicover.fixedpoints import (
     FixedMapKind,
     MonoH,
     MonoK,
-    NodeEnd,
     _step_candidates,
     base_tangent_weight,
     enumerate_chains,
@@ -174,7 +173,7 @@ def assert_weights_agree(degrees):
     for m in degrees:
         for contact in Contact:
             for kind, _, _ in _step_candidates(contact, m):
-                out = source_tangent_weight(kind, NodeEnd.NODE_OUT)
+                out = -source_tangent_weight(kind)
                 w = v4_weights(kind)
                 w_slot = w[2] if isinstance(kind.shape, MonoK) else w[1]
                 assert out == w[0] / m, kind

@@ -8,10 +8,12 @@ import ast
 import random
 import sys
 import time
+import types
 from fractions import Fraction
 from pathlib import Path
 
-from multicover import contributions, exact, fixedpoints, localize
+import multicover
+from multicover import cli, contributions, exact, fixedpoints, localize
 from multicover.cli import load_reference_table
 from multicover.contributions import base_contribution, end_contribution, node_smoothing
 from multicover.exact import AlphaMonomial, alpha_flip, format_factored, parse_factored
@@ -20,7 +22,6 @@ from multicover.fixedpoints import (
     FixedMapKind,
     MonoH,
     MonoK,
-    NodeEnd,
     enumerate_configurations,
     source_tangent_weight,
 )
@@ -109,6 +110,52 @@ def test_no_library_function_calls_itself():
     assert selves == []
 
 
+# The public surface: the top-level names of the package, sorted, and each
+# module's __all__ as written.  An API change shows up in this table's diff.
+PUBLIC = {
+    multicover: [
+        "AlphaMonomial", "Chain", "Configuration", "ConfigurationReport", "Contact",
+        "DegenerateNodeError", "FactorBundle", "FactoredRational", "Family", "FixedMapKind",
+        "MonoH", "MonoK", "UnsupportedDegreeError", "alpha_flip", "base_contribution",
+        "configuration_contribution", "end_contribution", "enumerate_chains",
+        "enumerate_configurations", "format_factored", "multiple_cover_invariant",
+        "node_smoothing", "parse_factored", "psi_integral", "ruled_contribution", "side_sum",
+        "source_tangent_weight", "v4_weights",
+    ],
+    exact: [
+        "AlphaMonomial", "FactoredRational", "FactoredFormatError", "alpha_flip",
+        "format_factored", "parse_factored", "factorize", "is_prime",
+    ],
+    fixedpoints: [
+        "Contact", "Family", "MonoH", "MonoK", "FixedMapKind", "Chain", "Configuration",
+        "UnsupportedDegreeError", "InvalidKindError", "Shape", "v4_weights",
+        "source_tangent_weight", "base_tangent_weight", "transition", "enumerate_chains",
+        "enumerate_configurations",
+    ],
+    contributions: [
+        "FactorBundle", "DegenerateNodeError", "base_contribution", "ruled_contribution",
+        "end_contribution", "psi_integral", "step_factors", "node_smoothing",
+    ],
+    localize: [
+        "ConfigurationReport", "DegreeZeroViolation", "chain_factors",
+        "configuration_contribution", "side_sum", "multiple_cover_invariant",
+    ],
+    cli: ["ReferenceTable", "load_reference_table", "main"],
+}
+
+
+def test_public_surface():
+    # the package has no __all__: its names are read from its namespace, less the
+    # submodules, which it holds or not depending on what was imported
+    top = sorted(
+        name
+        for name, value in vars(multicover).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    )
+    surface = {module: list(getattr(module, "__all__", top)) for module in PUBLIC}
+    assert surface == PUBLIC
+
+
 def best_time(fn, repeats=5):
     best = float("inf")
     for _ in range(repeats):
@@ -134,9 +181,9 @@ def test_criterion_2_worked_intermediates():
     short_k = FixedMapKind(Contact.P0, 2, MonoK(1))
     short_h = FixedMapKind(Contact.P0, 2, MonoH(1))
     checks = [
-        node_smoothing(base_w, source_tangent_weight(short_k, NodeEnd.NODE_IN))
+        node_smoothing(base_w, source_tangent_weight(short_k))
         == AlphaMonomial(F(-2, 3), -1),
-        node_smoothing(base_w, source_tangent_weight(short_h, NodeEnd.NODE_IN))
+        node_smoothing(base_w, source_tangent_weight(short_h))
         == AlphaMonomial(F(-2, 5), -1),
         end_contribution(short_k).main == AlphaMonomial(F(-1, 2), -3),
         end_contribution(short_h).main == AlphaMonomial(F(1, 2), -3),

@@ -20,7 +20,6 @@ from multicover.fixedpoints import (
     FixedMapKind,
     MonoH,
     MonoK,
-    NodeEnd,
     base_tangent_weight,
     source_tangent_weight,
 )
@@ -213,8 +212,8 @@ def test_node_smoothing_double_cover_values():
     base = F(-1, 2)
     short_k = FixedMapKind(Contact.P0, 2, MonoK(1))
     short_h = FixedMapKind(Contact.P0, 2, MonoH(1))
-    w_k = source_tangent_weight(short_k, NodeEnd.NODE_IN)
-    w_h = source_tangent_weight(short_h, NodeEnd.NODE_IN)
+    w_k = source_tangent_weight(short_k)
+    w_h = source_tangent_weight(short_h)
     assert node_smoothing(base, w_k) == mono((-2, 3), -1)
     assert node_smoothing(base, w_h) == mono((-2, 5), -1)
 
@@ -230,7 +229,7 @@ def test_double_cover_side_assembly():
     total = F(0)
     for shape, main in ((MonoK(1), mono((-1, 2), -3)), (MonoH(1), mono((1, 2), -3))):
         kind = FixedMapKind(Contact.P0, 2, shape)
-        w = source_tangent_weight(kind, NodeEnd.NODE_IN)
+        w = source_tangent_weight(kind)
         assert end_contribution(kind).main == main
         term = node_smoothing(base, w) * main
         assert term.power == -4

@@ -55,6 +55,18 @@ def test_power_must_be_an_integer():
     assert AlphaMonomial(F(1, 2), True).power == 1
 
 
+@pytest.mark.parametrize(
+    "product",
+    [lambda m: m * 0.5, lambda m: 0.5 * m, lambda m: m * "x"],
+    ids=["mono-float", "float-mono", "mono-str"],
+)
+def test_mono_mul_refuses_other_types(product):
+    # a TypeError, as the constructor gives for a float coefficient
+    with pytest.raises(TypeError, match="'AlphaMonomial'"):
+        product(mono((1, 2), 3))
+    assert 2 * mono((1, 2), 3) == mono((1, 2), 3) * F(2) == mono(1, 3)
+
+
 def test_zero_is_canonical():
     assert mono(0, 7) == mono(0, 0)
     assert mono(3, 2) * mono(0, -5) == mono(0)

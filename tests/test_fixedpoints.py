@@ -20,7 +20,6 @@ from multicover.fixedpoints import (
     InvalidKindError,
     MonoH,
     MonoK,
-    NodeEnd,
     UnsupportedDegreeError,
     _step_candidates,
     base_tangent_weight,
@@ -80,39 +79,21 @@ def test_family_weights_reflect_exponent_relation():
 
 def test_family_outgoing_weight():
     fk = FixedMapKind(Contact.P0, 5, Family(3, 4))
-    assert source_tangent_weight(fk, NodeEnd.NODE_OUT) == F(1, 5 - 4)
+    assert -source_tangent_weight(fk) == F(1, 5 - 4)
 
 
 def test_base_weight_orientation():
     # pinned by the degree-2 smoothing factors -2/(3a) and -2/(5a)
-    assert base_tangent_weight(2) == F(-1, 2)
-    assert base_tangent_weight(2) + source_tangent_weight(
-        FixedMapKind(Contact.P0, 2, MonoK(1)), NodeEnd.NODE_IN
-    ) == F(-3, 2)
-    assert base_tangent_weight(2) + source_tangent_weight(
-        FixedMapKind(Contact.P0, 2, MonoH(1)), NodeEnd.NODE_IN
-    ) == F(-5, 2)
+    w = base_tangent_weight(2)
+    assert w == F(-1, 2)
+    assert w + source_tangent_weight(FixedMapKind(Contact.P0, 2, MonoK(1))) == F(-3, 2)
+    assert w + source_tangent_weight(FixedMapKind(Contact.P0, 2, MonoH(1))) == F(-5, 2)
 
 
 def test_action_speed_matches_weight_table():
-    # the speed column of _ROWS, read by source_tangent_weight at the outgoing
-    # node, against the weight table: w0 / m and (w0 - w_slot) / (m - e)
+    # the speed column of _ROWS, the negated source_tangent_weight at the
+    # outgoing node, against the weight table: w0 / m and (w0 - w_slot) / (m - e)
     assert_weights_agree(range(2, 40))
-
-
-def test_tangent_weight_refuses_a_string_end():
-    # "in" is not NodeEnd.NODE_IN: it must not read as the outgoing node
-    fk = FixedMapKind(Contact.P0, 2, MonoK(1))
-    with pytest.raises(TypeError, match=r"^end must be a NodeEnd, got 'in' \(str\)$"):
-        source_tangent_weight(fk, "in")
-
-
-def test_opposite_ends_carry_opposite_weights():
-    for fk in all_kinds(7):
-        w_in = source_tangent_weight(fk, NodeEnd.NODE_IN)
-        w_out = source_tangent_weight(fk, NodeEnd.NODE_OUT)
-        assert w_in == -w_out
-        assert w_in != 0
 
 
 # -- transitions ---------------------------------------------------------------
@@ -140,17 +121,17 @@ def test_end_maps_have_no_transition():
 
 
 def test_step_candidates_carry_weights_and_next_state():
-    # each row holds its kind's incoming node weight, and its next state the
-    # kind's transition and outgoing weight, or None on an end map
+    # each row holds its kind's incoming node weight, never zero, and its next
+    # state the kind's transition and outgoing weight, or None on an end map
     for m in range(2, 9):
         for contact in Contact:
             for fk, w_in, nxt in _step_candidates(contact, m):
-                assert w_in == source_tangent_weight(fk, NodeEnd.NODE_IN)
+                assert w_in == source_tangent_weight(fk)
+                assert w_in != 0
                 if fk.is_end_bubble:
                     assert nxt is None
                 else:
-                    out = source_tangent_weight(fk, NodeEnd.NODE_OUT)
-                    assert nxt == (*transition(fk), out)
+                    assert nxt == (*transition(fk), -source_tangent_weight(fk))
 
 
 @pytest.mark.parametrize("d", range(2, 10))
@@ -303,7 +284,7 @@ def test_chain_pickles_across_hash_seeds():
 def test_configuration_degree_check():
     c2 = enumerate_chains(2)[0]
     c3 = enumerate_chains(3)[0]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^chain degrees 2 and 3 must equal the cover degree 2$"):
         Configuration(2, c2, c3)
 
 

@@ -10,6 +10,7 @@ import pytest
 from multicover import localize
 from multicover.cli import _print_breakdown
 from multicover.contributions import (
+    DegenerateNodeError,
     base_contribution,
     end_contribution,
     psi_integral,
@@ -21,6 +22,7 @@ from multicover.fixedpoints import (
     Configuration,
     Contact,
     Family,
+    FixedMapKind,
     MonoK,
     UnsupportedDegreeError,
     _step_candidates,
@@ -335,6 +337,23 @@ def test_nonzero_side_power_names_configuration(monkeypatch, entry):
         f"chain {target.describe()} has power -6, expected -7; trace:\n" + "\n".join(trace)
     )
     assert out.getvalue() == ""  # a breakdown raises before its first record
+
+
+@pytest.mark.parametrize("entry", ["chain_factors", "configuration"])
+def test_degenerate_node_names_chain_and_node(entry):
+    # the constructor admits this chain, but its second node's weights, 1 and -1, sum to zero
+    chain = Chain((FixedMapKind(Contact.P0, 3, MonoK(2)), FixedMapKind(Contact.P2, 2, MonoK(1))))
+    evaluate = {
+        "chain_factors": lambda: chain_factors(chain),
+        "configuration": lambda: configuration_contribution(
+            Configuration(3, enumerate_chains(3)[0], chain)
+        ),
+    }[entry]
+    with pytest.raises(DegenerateNodeError, match=(
+        r"^chain P0:d=3:MonoK\(k=2\):ruled -> P2:d=2:MonoK\(k=1\):end at smooth\[1->2\]: "
+        r"node weights 1 and -1 sum to zero$"
+    )):
+        evaluate()
 
 
 def test_side_sum_validates_side():
