@@ -198,9 +198,36 @@ def _stage1(b1: int) -> tuple:
 
 
 _ECM_D = 2310  # stage-2 giant-step width 2*3*5*7*11; baby steps are odd j < D/2
-_ECM_BLOCK = 400  # giant steps made affine and sieved at once (~0.9 MB segment)
+# giant steps made affine at once per curve, and sieved at once (~0.9 MB
+# segment) when a level's masks are built; the masks, 577 bytes per giant
+# step, are held for one level only
+_ECM_BLOCK = 400
 # the odd j < D/2 prime to D: the only ones for which m*D +- j can be prime
 _ECM_BABY_J = tuple(j for j in range(1, _ECM_D // 2, 2) if math.gcd(j, _ECM_D) == 1)
+
+
+def _giant_range(b1: int) -> range:
+    """The stage-2 giant steps m, from b1 // D (at least 1) to the first m
+    with m*D > 100*b1, so that the m*D +- j cover (b1, 100*b1]."""
+    return range(max(b1 // _ECM_D, 1), 100 * b1 // _ECM_D + 2)
+
+
+@functools.lru_cache(maxsize=1)
+def _stage2_masks(b1: int) -> tuple:
+    """For each giant step m of ``_giant_range(b1)``, a byte per odd j < D/2
+    (slot j // 2): 1 exactly when m*D + j or m*D - j is prime.  The masks
+    depend on b1 alone, so every curve at one level shares them; only the
+    current level's are kept (~50 KB at b1 = 2000, 25 MB at 10^6)."""
+    half, ms, masks = _ECM_D // 2, _giant_range(b1), []
+    for i in range(0, len(ms), _ECM_BLOCK):
+        block = ms[i : i + _ECM_BLOCK]
+        seg = _segment(block[0] * _ECM_D - half, block[-1] * _ECM_D + half)
+        for c in range(half, len(seg), _ECM_D):  # seg[c] is m*D
+            # the bytes are 0 or 1, so the integers' OR is the bytewise OR
+            up = int.from_bytes(seg[c + 1 : c + half : 2], "big")
+            down = int.from_bytes(seg[c - 1 : c - half : -2], "big")
+            masks.append((up | down).to_bytes(half // 2, "big"))
+    return tuple(masks)
 
 
 def _stage2(x: int, a24: int, b1: int, n: int) -> int:
@@ -211,7 +238,10 @@ def _stage2(x: int, a24: int, b1: int, n: int) -> int:
     product.  A Z that cannot be inverted is returned at once: it is a
     multiple of a factor.  The baby steps j*Q run as two progressions of
     step 6Q, over j = 1 and j = 5 (mod 6), and only the 240 j prime to D are
-    made affine."""
+    made affine.  Which pairs hold a prime is read from ``_stage2_masks``,
+    built once per b1 for every curve at that level, so a curve only
+    advances its giant steps, makes each block of them affine and
+    multiplies the selected differences."""
     half = _ECM_D // 2
     six = _ladder(6, x, a24, n)
     ones = _progression((x, 1), _ladder(7, x, a24, n), six, n)
@@ -220,23 +250,21 @@ def _stage2(x: int, a24: int, b1: int, n: int) -> int:
     xs = _affine([*map(points.get, _ECM_BABY_J), _ladder(_ECM_D, x, a24, n)], n)
     if isinstance(xs, int):
         return xs
-    # one slot per odd j, at j // 2 as in the sieve's pairs below; the 0 of a
-    # j sharing a prime with D is never selected, as m*D +- j is never prime
+    # one slot per odd j, at j // 2 as in the masks; the 0 of a j sharing a
+    # prime with D is never selected, as m*D +- j is never prime
     baby = [0] * (half // 2)
     for j, bx in zip(_ECM_BABY_J, xs):
         baby[j // 2] = bx
-    step, m0, top = xs[-1], max(b1 // _ECM_D, 1), 100 * b1 // _ECM_D + 2
+    step, m0, masks = xs[-1], _giant_range(b1)[0], _stage2_masks(b1)
     giants = _progression(_ladder(m0, step, a24, n), _ladder(m0 + 1, step, a24, n), (step, 1), n)
     acc = 1
-    for block in range(m0, top, _ECM_BLOCK):
-        ms = range(block, min(block + _ECM_BLOCK, top))
-        xs = _affine(list(itertools.islice(giants, len(ms))), n)
+    for i in range(0, len(masks), _ECM_BLOCK):
+        block = masks[i : i + _ECM_BLOCK]
+        xs = _affine(list(itertools.islice(giants, len(block))), n)
         if isinstance(xs, int):
             return xs
-        seg = _segment(ms[0] * _ECM_D - half, ms[-1] * _ECM_D + half)
-        for c, gx in zip(itertools.count(half, _ECM_D), xs):  # seg[c] is m*D
-            pairs = map(operator.or_, seg[c + 1 : c + half : 2], seg[c - 1 : c - half : -2])
-            for bx in itertools.compress(baby, pairs):
+        for gx, mask in zip(xs, block):
+            for bx in itertools.compress(baby, mask):
                 acc = acc * (gx - bx) % n
     return acc
 
@@ -321,10 +349,12 @@ def factorize(n: int) -> list:
     to its exponent, a perfect power root**e returns as (root, k*e), and
     Lenstra's elliptic-curve method (ECM) splits the rest in two.  An ECM
     curve runs stage 1 to B1, then a stage 2 that pairs the primes in
-    (B1, 100*B1] as m*2310 +- j at one product per pair.  ECM's cost grows
-    subexponentially with the second-largest prime factor of a cofactor, not
-    with its size: the d = 11 invariant's 438938983141369 (~4.4e14) splits off
-    in about 0.6 s.  Pieces above ~3.3e24 are probable primes (Miller-Rabin
+    (B1, 100*B1] as m*2310 +- j at one product per pair; which pairs hold a
+    prime is sieved once per B1 and shared by that level's curves.  ECM's
+    cost grows subexponentially with the second-largest prime factor of a
+    cofactor, not with its size: the d = 11 invariant's 438938983141369
+    (~4.4e14) splits off in about 0.4 s (27 curves, on one core of a shared
+    2-vCPU VM).  Pieces above ~3.3e24 are probable primes (Miller-Rabin
     with 25 fixed bases), not proven ones.  The curves for a cofactor n come
     from ``random.Random(n)``, so the result is deterministic.
     """

@@ -19,7 +19,7 @@ import hashlib
 import math
 from fractions import Fraction
 
-from multicover import localize
+from multicover import exact, localize
 from multicover.contributions import (
     _step_coefficient,
     base_contribution,
@@ -178,6 +178,21 @@ def assert_weights_agree(degrees):
                 w_slot = w[2] if isinstance(kind.shape, MonoK) else w[1]
                 assert out == w[0] / m, kind
                 assert out == (w[0] - w_slot) / (m - kind.outgoing_exponent), kind
+
+
+def assert_stage2_masks(bounds):
+    """Each giant step's mask of ``exact._stage2_masks(b1)`` against one
+    plain sieve: slot j // 2 of giant step m is 1 exactly when m*D + j or
+    m*D - j is prime, for odd j < D/2; tier-1 takes B1 = 2000, 11000 and
+    50000, CI 250000."""
+    d = exact._ECM_D
+    for b1 in bounds:
+        prime = exact._sieve(100 * b1 + 2 * d)
+        giants = range(max(b1 // d, 1), 100 * b1 // d + 2)
+        masks = exact._stage2_masks(b1)
+        assert len(masks) == len(giants), b1
+        for m, mask in zip(giants, masks):
+            assert mask == bytes(prime[m * d + j] | prime[m * d - j] for j in range(1, d // 2, 2)), (b1, m)
 
 
 # sha256 over the lines f"{d}\t{N_d}\n" for d = 2..60, the plain cap

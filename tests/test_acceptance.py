@@ -46,6 +46,7 @@ CACHES = (
     contributions.step_factors,
     contributions._harmonic,
     exact._stage1,
+    exact._stage2_masks,
 )
 
 

@@ -21,6 +21,7 @@ from multicover.exact import (
     parse_factored,
 )
 from multicover.localize import multiple_cover_invariant
+from oracles import assert_stage2_masks
 
 F = Fraction
 
@@ -237,8 +238,9 @@ def test_stage2_finds_what_stage1_misses(monkeypatch):
 
 
 def test_stage2_is_the_product_over_prime_pairs():
-    # every pair m*D +- j holding a prime, each baby step by its own ladder
-    n, b1, d = STAGE2_N, 2000, exact._ECM_D
+    # every pair m*D +- j holding a prime, each baby step by its own ladder;
+    # B1 = 2000 has 87 giant steps, 11000 has 474 in blocks of 400 and 74
+    n, d = STAGE2_N, exact._ECM_D
     rng = random.Random(5)
     x, a24 = rng.randrange(n), rng.randrange(n)
 
@@ -247,14 +249,33 @@ def test_stage2_is_the_product_over_prime_pairs():
         return xk * pow(zk, -1, n) % n
 
     baby = {j: affine(j, x) for j in range(1, d // 2, 2)}
-    step, expected = affine(d, x), 1
-    for m in range(max(b1 // d, 1), 100 * b1 // d + 2):
-        gx = affine(m, step)
-        for j, bx in baby.items():
-            if is_prime(m * d + j) or is_prime(m * d - j):
-                expected = expected * (gx - bx) % n
+    step = affine(d, x)
+    for b1 in (2000, 11000):
+        prime, expected = exact._sieve(100 * b1 + 2 * d), 1
+        for m in range(max(b1 // d, 1), 100 * b1 // d + 2):
+            gx = affine(m, step)
+            for j, bx in baby.items():
+                if prime[m * d + j] or prime[m * d - j]:
+                    expected = expected * (gx - bx) % n
+        assert exact._stage2(x, a24, b1, n) == expected, b1
     assert len(exact._ECM_BABY_J) == 240
-    assert exact._stage2(x, a24, b1, n) == expected
+
+
+def test_stage2_masks_match_a_plain_sieve():
+    assert_stage2_masks([2000, 11000, 50000])
+
+
+def test_stage2_sieves_once_per_level(monkeypatch):
+    # three curves at one B1 share one sieve of their stage-2 range: none of
+    # the first 25 curves splits d = 11's numerator root, so all three run
+    root = 438938983141369 * 180676454678820675709
+    calls = []
+    segment = exact._segment
+    monkeypatch.setattr(exact, "_segment", lambda lo, hi: calls.append(lo) or segment(lo, hi))
+    monkeypatch.setattr(exact, "_ecm_bounds", lambda: iter([2000] * 3))
+    exact._stage2_masks.cache_clear()
+    assert exact._ecm(root) is None
+    assert len(calls) == 1
 
 
 def test_factorize_matches_sympy_on_invariants():
