@@ -17,10 +17,9 @@ import argparse
 import itertools
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional
 
+from ._record import Record
 from .contributions import base_contribution
 from .exact import FactoredFormatError, FactoredRational, _parse_int, format_factored
 from .fixedpoints import enumerate_chains
@@ -36,14 +35,14 @@ WRITE_ERROR = 74  # EX_IOERR of sysexits.h
 CLOSED_STDOUT = 141  # 128 + SIGPIPE, as a shell reports a process it killed
 
 
-@dataclass(frozen=True)
-class ReferenceTable:
+class ReferenceTable(Record):
     """Known invariants by degree, as parsed factored rationals."""
 
-    rows: Dict[int, FactoredRational]
+    def __init__(self, rows: dict[int, FactoredRational]):
+        self.__dict__["rows"] = rows
 
 
-def load_reference_table(path: Optional[str] = None) -> ReferenceTable:
+def load_reference_table(path: str | None = None) -> ReferenceTable:
     """Parse the table at ``path``, or else ``data/reference_table.txt`` beside this module."""
     source = path
     if path is None:  # the shipped table, labelled by its file name
@@ -51,7 +50,7 @@ def load_reference_table(path: Optional[str] = None) -> ReferenceTable:
         path = os.path.join(os.path.dirname(__file__), "data", source)
     with open(path, "rb") as handle:
         data = handle.read()
-    rows: Dict[int, FactoredRational] = {}
+    rows: dict[int, FactoredRational] = {}
     for lineno, raw in enumerate(data.splitlines(), 1):
         try:  # decoded line by line, so a byte that is not UTF-8 gets source:line too
             line = raw.decode("utf-8").strip()

@@ -48,11 +48,10 @@ power.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import List, Tuple
 
+from ._record import Record
 from .exact import AlphaMonomial, MONO_ONE
 from .fixedpoints import Contact, Family, FixedMapKind, MonoH, MonoK, _integer
 
@@ -76,8 +75,7 @@ class DegenerateNodeError(ValueError):
     """
 
 
-@dataclass(frozen=True)
-class FactorBundle:
+class FactorBundle(Record):
     """A bubble map's tabulated factors.
 
     ``main`` is the normal-bundle factor; on ``Family`` rows it is the
@@ -88,9 +86,11 @@ class FactorBundle:
     reparametrization group, 1/q on every row, end rows included.
     """
 
-    main: AlphaMonomial
-    auxiliary: AlphaMonomial
-    automorphism_scale: Fraction
+    def __init__(self, main: AlphaMonomial, auxiliary: AlphaMonomial, automorphism_scale: Fraction):
+        fields = self.__dict__
+        fields["main"], fields["auxiliary"], fields["automorphism_scale"] = (
+            main, auxiliary, automorphism_scale
+        )
 
 
 def base_contribution(d: int) -> AlphaMonomial:
@@ -128,7 +128,7 @@ def psi_integral(d: int, h: int) -> Fraction:
     return Fraction(-1, d - h)
 
 
-def _factors(kind: FixedMapKind) -> List[Tuple[str, int, int, int]]:
+def _factors(kind: FixedMapKind) -> list[tuple[str, int, int, int]]:
     """The listing of the module docstring, n/r not reduced and e < 0 on
     the main factor."""
     d, s, c, end = kind.degree, kind.shape, kind.contact, kind.is_end_bubble
@@ -184,7 +184,7 @@ def end_contribution(kind: FixedMapKind) -> FactorBundle:
 
 
 @lru_cache(maxsize=None)
-def step_factors(kind: FixedMapKind) -> Tuple[Tuple[str, AlphaMonomial], ...]:
+def step_factors(kind: FixedMapKind) -> tuple[tuple[str, AlphaMonomial], ...]:
     """Labeled multiplicative factors of one bubble step, in the 0-side
     frame: the entries of :func:`_factors` as monomials, labelled ``main``
     (or ``main_psi_coeff``, ``psi_integral``), ``divisor_tangent``,

@@ -18,9 +18,9 @@ import itertools
 import math
 import operator
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+
+from ._record import Record
 
 __all__ = [
     "AlphaMonomial",
@@ -34,28 +34,22 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class AlphaMonomial:
+class AlphaMonomial(Record):
     """``coeff * a^power`` with an exact rational coefficient.
 
     The zero monomial is canonicalized to power 0 so equality works.
     """
 
-    coeff: Fraction
-    power: int = 0
-
-    def __post_init__(self):
-        coeff = self.coeff
+    def __init__(self, coeff: Fraction, power: int = 0):
         if not isinstance(coeff, (Fraction, int)):  # a float's binary value is not exact
             raise TypeError(f"coefficient must be int or Fraction, not {type(coeff).__name__}")
         coeff = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
-        power = self.power
         if coeff == 0:
             power = 0
-        object.__setattr__(self, "coeff", coeff)
-        object.__setattr__(self, "power", operator.index(power))  # a float raises
+        fields = self.__dict__
+        fields["coeff"], fields["power"] = coeff, operator.index(power)  # a float raises
 
-    def __mul__(self, other: "AlphaMonomial") -> "AlphaMonomial":
+    def __mul__(self, other: AlphaMonomial) -> AlphaMonomial:
         if isinstance(other, AlphaMonomial):
             return AlphaMonomial(self.coeff * other.coeff, self.power + other.power)
         if isinstance(other, (int, Fraction)):  # Python raises the TypeError for anything else
@@ -391,8 +385,7 @@ class FactoredFormatError(ValueError):
     """Raised when factored-rational text does not conform to the grammar."""
 
 
-@dataclass(frozen=True)
-class FactoredRational:
+class FactoredRational(Record):
     """A nonzero rational as sign and prime-power factor lists.
 
     Invariants: all bases prime and strictly ascending within each list,
@@ -402,17 +395,14 @@ class FactoredRational:
     ones.
     """
 
-    sign: int
-    numerator_factors: tuple
-    denominator_factors: tuple
-
-    def __post_init__(self):
-        if self.sign not in (1, -1):
+    def __init__(self, sign: int, numerator_factors: tuple, denominator_factors: tuple):
+        fields = self.__dict__
+        fields["sign"], fields["numerator_factors"], fields["denominator_factors"] = (
+            sign, numerator_factors, denominator_factors
+        )
+        if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
-        for name, factors in (
-            ("numerator", self.numerator_factors),
-            ("denominator", self.denominator_factors),
-        ):
+        for name, factors in (("numerator", numerator_factors), ("denominator", denominator_factors)):
             prev = 1
             for p, e in factors:
                 if not (isinstance(p, int) and isinstance(e, int)):
@@ -424,14 +414,12 @@ class FactoredRational:
                 if p <= prev:
                     raise ValueError(f"{name} primes out of order at {p}")
                 prev = p
-        shared = {p for p, _ in self.numerator_factors} & {
-            p for p, _ in self.denominator_factors
-        }
+        shared = {p for p, _ in numerator_factors} & {p for p, _ in denominator_factors}
         if shared:
             raise ValueError(f"base {min(shared)} appears in both products")
 
     @classmethod
-    def from_rational(cls, q: Fraction) -> "FactoredRational":
+    def from_rational(cls, q: Fraction) -> FactoredRational:
         if not isinstance(q, (int, Fraction)):
             raise TypeError(f"expected int or Fraction, not {type(q).__name__}")
         if q == 0:
@@ -460,11 +448,11 @@ class FactoredRational:
         return f"{sign}{num}/({_product_text(self.denominator_factors)})"
 
     @classmethod
-    def from_text(cls, s: str) -> "FactoredRational":
+    def from_text(cls, s: str) -> FactoredRational:
         return _parse_factored_text(s)
 
 
-def _product_text(factors: Iterable) -> str:
+def _product_text(factors: tuple) -> str:
     parts = [f"{p}^{e}" if e > 1 else str(p) for p, e in factors]
     return "*".join(parts) if parts else "1"
 

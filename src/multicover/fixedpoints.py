@@ -45,10 +45,10 @@ from __future__ import annotations
 
 import enum
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Tuple, Union
+
+from ._record import Record
 
 __all__ = [
     "Contact",
@@ -102,23 +102,23 @@ class Contact(enum.Enum):
     P2 = 2  # [0;0;1;0]-type: contact at the level coordinate
 
 
-@dataclass(frozen=True)
-class Family:
-    h: int
-    k: int
+class Family(Record):
+    def __init__(self, h: int, k: int):
+        fields = self.__dict__
+        fields["h"], fields["k"] = h, k
 
 
-@dataclass(frozen=True)
-class MonoH:
-    h: int
+class MonoH(Record):
+    def __init__(self, h: int):
+        self.__dict__["h"] = h
 
 
-@dataclass(frozen=True)
-class MonoK:
-    k: int
+class MonoK(Record):
+    def __init__(self, k: int):
+        self.__dict__["k"] = k
 
 
-Shape = Union[Family, MonoH, MonoK]
+Shape = Family | MonoH | MonoK
 
 
 # (contact, shape type) -> (next bubble's contact, speed numerator n), as in the module docstring
@@ -134,7 +134,7 @@ _ROWS = {
 }
 
 
-def _row_refusal(contact: Contact, d: int, s: Shape) -> Optional[str]:
+def _row_refusal(contact: Contact, d: int, s: Shape) -> str | None:
     """Why ``(contact, d, s)`` is not a fixed-map row, or None if it is one."""
     if d < 2:
         return f"bubble map degree {d} must be >= 2"
@@ -158,24 +158,20 @@ def _row_refusal(contact: Contact, d: int, s: Shape) -> Optional[str]:
     return None
 
 
-@dataclass(frozen=True)
-class FixedMapKind:
+class FixedMapKind(Record):
     """One bubble component's fixed map: contact label, degree and shape, their
     types checked once per built kind (``_row_refusal`` screens shapes, not types)."""
 
-    contact: Contact
-    degree: int
-    shape: Shape
-
-    def __post_init__(self):
-        if not isinstance(self.contact, Contact):
-            c = self.contact
-            raise TypeError(f"contact must be a Contact, got {c!r} ({type(c).__name__})")
-        _integer("degree", self.degree)
-        if isinstance(self.shape, (Family, MonoH, MonoK)):
-            for name, value in vars(self.shape).items():
+    def __init__(self, contact: Contact, degree: int, shape: Shape):
+        fields = self.__dict__
+        fields["contact"], fields["degree"], fields["shape"] = contact, degree, shape
+        if not isinstance(contact, Contact):
+            raise TypeError(f"contact must be a Contact, got {contact!r} ({type(contact).__name__})")
+        _integer("degree", degree)
+        if isinstance(shape, Shape):
+            for name, value in vars(shape).items():
                 _integer(name, value)
-        refusal = _row_refusal(self.contact, self.degree, self.shape)
+        refusal = _row_refusal(contact, degree, shape)
         if refusal is not None:
             raise InvalidKindError(refusal)
 
@@ -191,12 +187,12 @@ class FixedMapKind:
         return self.outgoing_exponent == 1
 
     def describe(self) -> str:
-        body = repr(self.shape).replace(" ", "")  # Family(h=1,k=2), MonoK(k=2), ...
+        body = repr(self.shape).replace(" ", "")  # the Record repr: Family(h=1,k=2), MonoK(k=2), ...
         tag = "end" if self.is_end_bubble else "ruled"
         return f"{self.contact.name}:d={self.degree}:{body}:{tag}"
 
 
-def v4_weights(kind: FixedMapKind) -> Tuple[Fraction, Fraction, Fraction, Fraction]:
+def v4_weights(kind: FixedMapKind) -> tuple[Fraction, Fraction, Fraction, Fraction]:
     """Weights of the torus action on the bubble's four coordinates, as
     rational multiples of the equivariant parameter, in tabulated order.
     With x = ``h`` on ``MonoH``, else ``k`` (a family has h = 2k - d), they
@@ -235,7 +231,7 @@ def base_tangent_weight(d: int) -> Fraction:
     return Fraction(-1, d)
 
 
-def transition(kind: FixedMapKind) -> Optional[Tuple[Contact, int]]:
+def transition(kind: FixedMapKind) -> tuple[Contact, int] | None:
     """Next bubble's (contact, degree), or None for an end map.  The
     outgoing direction inherits the role its weight plays in the next
     bubble's pattern, which gives the automaton column of ``_ROWS``."""
@@ -243,17 +239,14 @@ def transition(kind: FixedMapKind) -> Optional[Tuple[Contact, int]]:
     return None if e == 1 else (_ROWS[kind.contact, type(kind.shape)][0], e)
 
 
-@dataclass(frozen=True)
-class Chain:
+class Chain(Record):
     """The bubble maps over one of the two fixed points, base outwards.  Every
     chain, walked or built by a caller, is checked at construction in one pass,
     from (P0, d) through the bubble each step's ``transition`` names, to an end map."""
 
-    steps: Tuple[FixedMapKind, ...]
-
-    def __post_init__(self):
-        steps = tuple(self.steps)  # a list would make the chain unhashable
-        object.__setattr__(self, "steps", steps)
+    def __init__(self, steps: tuple[FixedMapKind, ...]):
+        steps = tuple(steps)  # a list would make the chain unhashable
+        self.__dict__["steps"] = steps
         if not steps:
             raise ValueError("a chain has at least one bubble")
         expected = (Contact.P0, steps[0].degree)
@@ -273,17 +266,16 @@ class Chain:
         return " -> ".join(s.describe() for s in self.steps)
 
 
-@dataclass(frozen=True)
-class Configuration:
+class Configuration(Record):
     """A full fixed locus: cover degree plus the chains over 0 and infinity."""
 
-    cover_degree: int
-    chain_zero: Chain
-    chain_infinity: Chain
-
-    def __post_init__(self):
-        d = _cover_degree(self.cover_degree)
-        zero, infinity = self.chain_zero.degree, self.chain_infinity.degree
+    def __init__(self, cover_degree: int, chain_zero: Chain, chain_infinity: Chain):
+        fields = self.__dict__
+        fields["cover_degree"], fields["chain_zero"], fields["chain_infinity"] = (
+            cover_degree, chain_zero, chain_infinity
+        )
+        d = _cover_degree(cover_degree)
+        zero, infinity = chain_zero.degree, chain_infinity.degree
         if {zero, infinity} != {d}:
             raise ValueError(f"chain degrees {zero} and {infinity} must equal the cover degree {d}")
 
@@ -295,7 +287,7 @@ class Configuration:
 
 
 @lru_cache(maxsize=None)
-def _step_candidates(contact: Contact, m: int) -> Tuple[tuple, ...]:
+def _step_candidates(contact: Contact, m: int) -> tuple[tuple, ...]:
     """Every fixed-map row ``(kind, w_in, next_state)`` of a degree-m bubble met
     at ``contact``, listed once: the families, then MonoH, then MonoK, each by
     ascending exponent.  ``w_in`` is the row's incoming node weight, and

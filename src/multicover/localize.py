@@ -47,10 +47,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Tuple
 
+from ._record import Record
 from .contributions import (
     DegenerateNodeError, _step_coefficient, base_contribution, node_smoothing, step_factors
 )
@@ -80,8 +79,7 @@ class DegreeZeroViolation(ArithmeticError):
     parameter other than 2 - 3d, so its configurations are not numbers."""
 
 
-@dataclass(frozen=True)
-class ConfigurationReport:
+class ConfigurationReport(Record):
     """A configuration with its labeled factor trace.
 
     The traced factors multiply exactly to ``total`` (family steps appear
@@ -89,19 +87,21 @@ class ConfigurationReport:
     has power zero.
     """
 
-    configuration: Configuration
-    per_factor_trace: Tuple[Tuple[str, AlphaMonomial], ...]
-    total: AlphaMonomial
+    def __init__(self, configuration: Configuration, per_factor_trace: tuple, total: AlphaMonomial):
+        fields = self.__dict__
+        fields["configuration"], fields["per_factor_trace"], fields["total"] = (
+            configuration, per_factor_trace, total
+        )
 
 
-def chain_factors(chain: Chain) -> Tuple[Tuple[str, AlphaMonomial], ...]:
+def chain_factors(chain: Chain) -> tuple[tuple[str, AlphaMonomial], ...]:
     """Ordered multiplicative factors of one chain, in the 0-side frame.
 
     Labels: ``smooth[a->b]`` for node smoothings and ``step<i>.<label>``
     for the labels of :func:`step_factors`.  A node whose two weights sum to
     zero raises :class:`DegenerateNodeError` naming the chain and the node.
     """
-    factors: List[Tuple[str, AlphaMonomial]] = []
+    factors: list[tuple[str, AlphaMonomial]] = []
     w = base_tangent_weight(chain.degree)
     for i, step in enumerate(chain.steps, 1):
         w_in = source_tangent_weight(step)
@@ -118,7 +118,7 @@ def chain_factors(chain: Chain) -> Tuple[Tuple[str, AlphaMonomial], ...]:
 # The state table, kept across degrees.  Per bubble (contact, m): ``(rows, L, sums)``, a row
 # ``(a, b, n * b)`` per _step_candidates row, w_in = a/b, c * tail = n/L (c its _step_coefficient,
 # tail 1 or its next state's sum), and ``sums`` each asked state's sum, keyed w = p/q as (p, q).
-_TABLE: Dict[Tuple[Contact, int], tuple] = {}
+_TABLE: dict[tuple[Contact, int], tuple] = {}
 
 
 def _fill_table(d: int) -> None:

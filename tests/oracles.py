@@ -233,15 +233,30 @@ def assert_value_structure(degrees):
     of the plain cap."""
     for d in degrees:
         value = multiple_cover_invariant(d)
-        den = value.denominator
-        for p in range(2, 3 * d + 1):
-            while den % p == 0:
-                den //= p
-        assert den == 1, d
+        assert _is_smooth(value.denominator, 3 * d), d
         square = -d * value
         assert square > 0, d
         for n in (square.numerator, square.denominator):
             assert math.isqrt(n) ** 2 == n, d
+
+
+def assert_state_denominators(d):
+    """After a cold degree d, every state sum in the table has a denominator
+    with no prime factor above 3d, as N_d's has: a row factor with a stray
+    large prime fails at the first state it enters; tier-1 takes d = 40, CI
+    d = 60."""
+    cold_values([d])
+    for (contact, m), (_, _, sums) in localize._TABLE.items():
+        for w, total in sums.items():
+            assert _is_smooth(total.denominator, 3 * d), (contact, m, w)
+
+
+def _is_smooth(n, bound):
+    """Whether no prime factor of the positive integer n exceeds ``bound``."""
+    for p in range(2, bound + 1):
+        while n % p == 0:
+            n //= p
+    return n == 1
 
 
 # sha256 over the describe() lines of enumerate_chains(d), one per chain

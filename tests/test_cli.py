@@ -374,6 +374,27 @@ def test_shipped_table_loads_from_a_copied_package(tmp_path):
     ]
 
 
+def test_import_loads_no_dataclasses_inspect_or_typing():
+    # every command pays at start-up for what importing the CLI loads;
+    # dataclasses alone (it imports inspect, ast, dis and tokenize) and the
+    # methods it generates cost about 13 ms per process (CPython 3.11, shared
+    # 2-vCPU VM), so the value classes are plain Record subclasses and the
+    # annotations need no typing
+    code = (
+        "import multicover.cli, sys; "
+        "print([m for m in ('dataclasses', 'inspect', 'typing') if m in sys.modules])"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(SHIPPED_TABLE.parents[2])),
+        check=True,
+        timeout=60,
+    )
+    assert done.stdout == "[]\n"
+
+
 # sha256 of the stdout that refactors must keep byte-identical; change a
 # digest only together with an intended change of the printed output
 @pytest.mark.parametrize(

@@ -41,6 +41,7 @@ from multicover.localize import (
 from oracles import (
     assert_oracle_agrees,
     assert_state_count,
+    assert_state_denominators,
     assert_step_coefficients_agree,
     assert_value_structure,
     cold_values,
@@ -201,6 +202,11 @@ def test_step_coefficient_matches_factor_product():
 
 def test_value_structure_through_degree_forty():
     assert_value_structure(range(2, 41))
+
+
+def test_state_denominators_at_degree_forty():
+    # all 3592 state sums of a cold d = 40, not only the value they add up to
+    assert_state_denominators(40)
 
 
 def test_values_beyond_the_table_match_frozen():

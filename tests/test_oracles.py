@@ -32,6 +32,10 @@ SHARES = {
         "multicover.fixedpoints.base_tangent_weight",
     },
     "family_sum_loop": set(),
+    "assert_state_denominators": {
+        "multicover.localize._TABLE",
+        "multicover.localize.multiple_cover_invariant",
+    },
 }
 
 
