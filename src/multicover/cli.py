@@ -28,7 +28,7 @@ from .localize import _chain_record, multiple_cover_invariant
 __all__ = ["ReferenceTable", "load_reference_table", "main"]
 
 # compute's highest degree per output mode: the state sum is polynomial in d
-# (about 0.9 s at d = 60), factoring is not (about 15 s at d = 14, over 90 s at
+# (about 0.5 s at d = 60), factoring is not (about 8 s at d = 14, over 90 s at
 # d = 18), and a breakdown writes 697225 records at d = 8, 8 times more per degree
 MAX_DEGREE = {"plain": 60, "--factored": 12, "--breakdown": 8}
 WRITE_ERROR = 74  # EX_IOERR of sysexits.h

@@ -13,11 +13,9 @@ factorization needed to emit it.  No floating point anywhere.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
-import random
 from fractions import Fraction
 
 from ._record import Record
@@ -178,7 +176,6 @@ def _affine(points: list, n: int):
     return xs[::-1]
 
 
-@functools.lru_cache(maxsize=None)
 def _stage1(b1: int) -> tuple:
     """The largest powers <= b1 of the primes <= b1, ascending, and their
     product."""
@@ -194,25 +191,20 @@ def _stage1(b1: int) -> tuple:
 _ECM_D = 2310  # stage-2 giant-step width 2*3*5*7*11; baby steps are odd j < D/2
 # giant steps made affine at once per curve, and sieved at once (~0.9 MB
 # segment) when a level's masks are built; the masks, 577 bytes per giant
-# step, are held for one level only
+# step, live as long as the _ecm call is at their level
 _ECM_BLOCK = 400
 # the odd j < D/2 prime to D: the only ones for which m*D +- j can be prime
 _ECM_BABY_J = tuple(j for j in range(1, _ECM_D // 2, 2) if math.gcd(j, _ECM_D) == 1)
 
 
-def _giant_range(b1: int) -> range:
-    """The stage-2 giant steps m, from b1 // D (at least 1) to the first m
-    with m*D > 100*b1, so that the m*D +- j cover (b1, 100*b1]."""
-    return range(max(b1 // _ECM_D, 1), 100 * b1 // _ECM_D + 2)
-
-
-@functools.lru_cache(maxsize=1)
 def _stage2_masks(b1: int) -> tuple:
-    """For each giant step m of ``_giant_range(b1)``, a byte per odd j < D/2
-    (slot j // 2): 1 exactly when m*D + j or m*D - j is prime.  The masks
-    depend on b1 alone, so every curve at one level shares them; only the
-    current level's are kept (~50 KB at b1 = 2000, 25 MB at 10^6)."""
-    half, ms, masks = _ECM_D // 2, _giant_range(b1), []
+    """(m0, masks) for the stage-2 giant steps m, from m0 = b1 // D (at
+    least 1) to the first m with m*D > 100*b1, so that the m*D +- j cover
+    (b1, 100*b1]: each m's mask has a byte per odd j < D/2 (slot j // 2),
+    1 exactly when m*D + j or m*D - j is prime.  The masks depend on b1
+    alone, so every curve of an ``_ecm`` call at one level shares them
+    (54 KB at b1 = 2000, 26.5 MB at 10^6)."""
+    half, ms, masks = _ECM_D // 2, range(max(b1 // _ECM_D, 1), 100 * b1 // _ECM_D + 2), []
     for i in range(0, len(ms), _ECM_BLOCK):
         block = ms[i : i + _ECM_BLOCK]
         seg = _segment(block[0] * _ECM_D - half, block[-1] * _ECM_D + half)
@@ -221,20 +213,20 @@ def _stage2_masks(b1: int) -> tuple:
             up = int.from_bytes(seg[c + 1 : c + half : 2], "big")
             down = int.from_bytes(seg[c - 1 : c - half : -2], "big")
             masks.append((up | down).to_bytes(half // 2, "big"))
-    return tuple(masks)
+    return ms[0], masks
 
 
-def _stage2(x: int, a24: int, b1: int, n: int) -> int:
+def _stage2(x: int, a24: int, level: tuple, n: int) -> int:
     """Product of x(m*D*Q) - x(j*Q) over giant steps m >= 1 and j < D/2 prime
-    to D with m*D + j or m*D - j prime, for Q = (x:1) and b1 >= D/2: it
-    shares a factor with n when a prime q in (b1, 100*b1] kills Q modulo
-    that factor.  Both points are affine, so a pair of primes costs one
-    product.  A Z that cannot be inverted is returned at once: it is a
-    multiple of a factor.  The baby steps j*Q run as two progressions of
-    step 6Q, over j = 1 and j = 5 (mod 6), and only the 240 j prime to D are
-    made affine.  Which pairs hold a prime is read from ``_stage2_masks``,
-    built once per b1 for every curve at that level, so a curve only
-    advances its giant steps, makes each block of them affine and
+    to D with m*D + j or m*D - j prime, for Q = (x:1) and ``level`` =
+    ``_stage2_masks(b1)``, b1 >= D/2: it shares a factor with n when a prime
+    q in (b1, 100*b1] kills Q modulo that factor.  Both points are affine, so
+    a pair of primes costs one product.  A Z that cannot be inverted is
+    returned at once: it is a multiple of a factor.  The baby steps j*Q run
+    as two progressions of step 6Q, over j = 1 and j = 5 (mod 6), and only
+    the 240 j prime to D are made affine.  Which pairs hold a prime is read
+    from the level's masks, shared by every curve at that level, so a curve
+    only advances its giant steps, makes each block of them affine and
     multiplies the selected differences."""
     half = _ECM_D // 2
     six = _ladder(6, x, a24, n)
@@ -249,7 +241,7 @@ def _stage2(x: int, a24: int, b1: int, n: int) -> int:
     baby = [0] * (half // 2)
     for j, bx in zip(_ECM_BABY_J, xs):
         baby[j // 2] = bx
-    step, m0, masks = xs[-1], _giant_range(b1)[0], _stage2_masks(b1)
+    step, (m0, masks) = xs[-1], level
     giants = _progression(_ladder(m0, step, a24, n), _ladder(m0 + 1, step, a24, n), (step, 1), n)
     acc = 1
     for i in range(0, len(masks), _ECM_BLOCK):
@@ -279,8 +271,12 @@ def _ecm(n: int) -> int:
     prime power at a time, which separates the primes unless their points
     die at the same step; a curve that still gives n is dropped.
     """
-    rng = random.Random(n)  # deterministic per input
+    import random  # not at the top: every command would pay for it at start-up
+
+    rng, built = random.Random(n), None  # the curves are deterministic per input
     for b1 in _ecm_bounds():
+        if b1 != built:  # this call's tables for the level, dropped with it
+            built, (powers, k), level = b1, _stage1(b1), _stage2_masks(b1)
         sigma = rng.randrange(6, n - 1)
         u, v = (sigma * sigma - 5) % n, 4 * sigma % n
         x, z = pow(u, 3, n), pow(v, 3, n)
@@ -290,11 +286,10 @@ def _ecm(n: int) -> int:
             inv = pow(den, -1, n)
             a24 = pow(v - u, 3, n) * (3 * u + v) * z * inv % n
             x = 16 * x * x * v * inv % n  # u^3 / v^3
-            powers, k = _stage1(b1)
             xk, zk = _ladder(k, x, a24, n)
             g = math.gcd(zk, n)
             if g == 1:
-                g = math.gcd(_stage2(xk * pow(zk, -1, n) % n, a24, b1, n), n)
+                g = math.gcd(_stage2(xk * pow(zk, -1, n) % n, a24, level, n), n)
             elif g == n:
                 for q in powers:
                     xk, zk = _ladder(q, x, a24, n)
@@ -344,13 +339,13 @@ def factorize(n: int) -> list:
     Lenstra's elliptic-curve method (ECM) splits the rest in two.  An ECM
     curve runs stage 1 to B1, then a stage 2 that pairs the primes in
     (B1, 100*B1] as m*2310 +- j at one product per pair; which pairs hold a
-    prime is sieved once per B1 and shared by that level's curves.  ECM's
-    cost grows subexponentially with the second-largest prime factor of a
-    cofactor, not with its size: the d = 11 invariant's 438938983141369
+    prime is sieved once per level and freed when the ECM call leaves it.
+    ECM's cost grows subexponentially with the second-largest prime factor
+    of a cofactor, not with its size: the d = 11 invariant's 438938983141369
     (~4.4e14) splits off in about 0.4 s (27 curves, on one core of a shared
-    2-vCPU VM).  Pieces above ~3.3e24 are probable primes (Miller-Rabin
-    with 25 fixed bases), not proven ones.  The curves for a cofactor n come
-    from ``random.Random(n)``, so the result is deterministic.
+    2-vCPU VM).  Pieces above ~3.3e24 are probable primes (Miller-Rabin with
+    25 fixed bases), not proven ones.  The curves for a cofactor n come from
+    ``random.Random(n)``, so the result is deterministic.
     """
     n = operator.index(n)  # a float raises
     if n < 1:

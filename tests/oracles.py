@@ -15,8 +15,11 @@ CI imports from this module with ``PYTHONPATH=src:tests``.
 """
 
 import functools
+import gc
 import hashlib
 import math
+import random  # imported by exact._ecm; loaded here, before any tracing
+import tracemalloc
 from fractions import Fraction
 
 from multicover import exact, localize
@@ -189,10 +192,30 @@ def assert_stage2_masks(bounds):
     for b1 in bounds:
         prime = exact._sieve(100 * b1 + 2 * d)
         giants = range(max(b1 // d, 1), 100 * b1 // d + 2)
-        masks = exact._stage2_masks(b1)
-        assert len(masks) == len(giants), b1
+        m0, masks = exact._stage2_masks(b1)
+        assert (m0, len(masks)) == (giants[0], len(giants)), b1
         for m, mask in zip(giants, masks):
             assert mask == bytes(prime[m * d + j] | prime[m * d - j] for j in range(1, d // 2, 2)), (b1, m)
+
+
+def assert_factorize_frees(bounds):
+    """One ``exact._ecm`` curve at each B1 of ``bounds`` alone, on d = 11's
+    numerator root: once the call returns, tracemalloc finds under 64 KB
+    still held, so the level's tables (its masks alone are 0.29 MB at
+    B1 = 11000, 6.6 MB at 250000) do not outlive the call; tier-1 takes
+    B1 = 11000, CI 250000."""
+    root, ecm_bounds = 438938983141369 * 180676454678820675709, exact._ecm_bounds
+    for b1 in bounds:
+        exact._ecm_bounds = lambda: iter([b1])
+        tracemalloc.start()
+        try:
+            exact._ecm(root)
+            gc.collect()  # empties the free lists, whose blocks tracemalloc counts
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            exact._ecm_bounds = ecm_bounds
+        assert held < 64 * 1024, (b1, held)
 
 
 # sha256 over the lines f"{d}\t{N_d}\n" for d = 2..60, the plain cap

@@ -40,13 +40,12 @@ def report(number, ok, detail):
     assert ok, f"criterion {number}: {detail}"
 
 
-# every process-wide memo in the package; the state table is cleared on its own
+# every process-wide memo in the package; the state table is cleared on its own,
+# and factoring keeps none: each ECM level's tables belong to the _ecm call
 CACHES = (
     fixedpoints._step_candidates,
     contributions.step_factors,
     contributions._harmonic,
-    exact._stage1,
-    exact._stage2_masks,
 )
 
 

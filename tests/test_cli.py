@@ -379,10 +379,11 @@ def test_import_loads_no_dataclasses_inspect_or_typing():
     # dataclasses alone (it imports inspect, ast, dis and tokenize) and the
     # methods it generates cost about 13 ms per process (CPython 3.11, shared
     # 2-vCPU VM), so the value classes are plain Record subclasses and the
-    # annotations need no typing
+    # annotations need no typing; random costs about 4 ms of a ~50 ms import
+    # under -S and only factoring draws curves, so exact._ecm imports it
     code = (
         "import multicover.cli, sys; "
-        "print([m for m in ('dataclasses', 'inspect', 'typing') if m in sys.modules])"
+        "print([m for m in ('dataclasses', 'inspect', 'typing', 'random') if m in sys.modules])"
     )
     done = subprocess.run(
         [sys.executable, "-S", "-c", code],

@@ -21,7 +21,7 @@ from multicover.exact import (
     parse_factored,
 )
 from multicover.localize import multiple_cover_invariant
-from oracles import assert_stage2_masks
+from oracles import assert_factorize_frees, assert_stage2_masks
 
 F = Fraction
 
@@ -257,7 +257,7 @@ def test_stage2_is_the_product_over_prime_pairs():
             for j, bx in baby.items():
                 if prime[m * d + j] or prime[m * d - j]:
                     expected = expected * (gx - bx) % n
-        assert exact._stage2(x, a24, b1, n) == expected, b1
+        assert exact._stage2(x, a24, exact._stage2_masks(b1), n) == expected, b1
     assert len(exact._ECM_BABY_J) == 240
 
 
@@ -267,15 +267,21 @@ def test_stage2_masks_match_a_plain_sieve():
 
 def test_stage2_sieves_once_per_level(monkeypatch):
     # three curves at one B1 share one sieve of their stage-2 range: none of
-    # the first 25 curves splits d = 11's numerator root, so all three run
+    # the first 25 curves splits d = 11's numerator root, so all three run;
+    # the sieve belongs to the call, so a second call sieves again
     root = 438938983141369 * 180676454678820675709
     calls = []
     segment = exact._segment
     monkeypatch.setattr(exact, "_segment", lambda lo, hi: calls.append(lo) or segment(lo, hi))
     monkeypatch.setattr(exact, "_ecm_bounds", lambda: iter([2000] * 3))
-    exact._stage2_masks.cache_clear()
     assert exact._ecm(root) is None
     assert len(calls) == 1
+    assert exact._ecm(root) is None
+    assert len(calls) == 2
+
+
+def test_ecm_frees_its_level_tables():
+    assert_factorize_frees([11000])
 
 
 def test_factorize_matches_sympy_on_invariants():
