@@ -27,7 +27,8 @@ class ``psi``, the first Chern class of the cotangent line at the outgoing
 contact point; its main factor is the coefficient of ``psi``.  On ruled
 rows sigma is the degree-one Chern part of the obstruction bundle,
 h H_h + k (H_k - H_{k-h}) + d (H_d - H_{d-h}) - 3h over the harmonic
-numbers H_n (:func:`_family_sum`).  End-bubble families carry the dual
+numbers H_n, summed in integers over degree d's table of them
+(:func:`_family_sum`).  End-bubble families carry the dual
 line (an extra automorphism), so their sigma is -1.
 
 :func:`_factors` writes all of it once, in integers, as one entry
@@ -106,18 +107,22 @@ def base_contribution(d: int) -> AlphaMonomial:
 
 
 @lru_cache(maxsize=None)
-def _harmonic(n: int) -> Fraction:
-    """H_n = 1 + 1/2 + ... + 1/n; H_0 = 0."""
-    return sum(Fraction(1, i) for i in range(1, n + 1))
+def _harmonic(d: int) -> tuple[int, tuple[int, ...]]:
+    """``(L, (L H_0, ..., L H_d))`` in integers, with L = lcm(1..d) and the
+    harmonic numbers H_n = 1 + 1/2 + ... + 1/n, H_0 = 0: one table per degree."""
+    L, t = math.lcm(*range(1, d + 1)), [0]
+    for i in range(1, d + 1):
+        t.append(t[-1] + L // i)
+    return L, tuple(t)
 
 
 def _family_sum(d: int, h: int, k: int) -> Fraction:
     """sigma = sum_{i<h} i/(h-i) + i/(k-i) + i/(d-i), the degree-one Chern
     part of the obstruction bundle over a map family.  As i/(n-i) =
     n/(n-i) - 1, it is h H_h + k (H_k - H_{k-h}) + d (H_d - H_{d-h}) - 3h,
-    which is 0 at h == 1."""
-    H = _harmonic
-    return h * H(h) + k * (H(k) - H(k - h)) + d * (H(d) - H(d - h)) - 3 * h
+    which is 0 at h == 1: one integer sum over degree d's table L H_n, over L."""
+    L, H = _harmonic(d)
+    return Fraction(h * H[h] + k * (H[k] - H[k - h]) + d * (H[d] - H[d - h]) - 3 * h * L, L)
 
 
 def psi_integral(d: int, h: int) -> Fraction:

@@ -190,8 +190,8 @@ def _stage1(b1: int) -> tuple:
 
 _ECM_D = 2310  # stage-2 giant-step width 2*3*5*7*11; baby steps are odd j < D/2
 # giant steps made affine at once per curve, and sieved at once (~0.9 MB
-# segment) when a level's masks are built; the masks, 577 bytes per giant
-# step, live as long as the _ecm call is at their level
+# segment) when a level's masks are built, as its first curve reaches stage 2;
+# the masks, 577 bytes per giant step, live as long as the _ecm call is at their level
 _ECM_BLOCK = 400
 # the odd j < D/2 prime to D: the only ones for which m*D +- j can be prime
 _ECM_BABY_J = tuple(j for j in range(1, _ECM_D // 2, 2) if math.gcd(j, _ECM_D) == 1)
@@ -276,7 +276,7 @@ def _ecm(n: int) -> int:
     rng, built = random.Random(n), None  # the curves are deterministic per input
     for b1 in _ecm_bounds():
         if b1 != built:  # this call's tables for the level, dropped with it
-            built, (powers, k), level = b1, _stage1(b1), _stage2_masks(b1)
+            built, (powers, k), level = b1, _stage1(b1), None
         sigma = rng.randrange(6, n - 1)
         u, v = (sigma * sigma - 5) % n, 4 * sigma % n
         x, z = pow(u, 3, n), pow(v, 3, n)
@@ -289,6 +289,8 @@ def _ecm(n: int) -> int:
             xk, zk = _ladder(k, x, a24, n)
             g = math.gcd(zk, n)
             if g == 1:
+                if level is None:  # the level's masks, once a curve there reaches stage 2
+                    level = _stage2_masks(b1)
                 g = math.gcd(_stage2(xk * pow(zk, -1, n) % n, a24, level, n), n)
             elif g == n:
                 for q in powers:

@@ -292,7 +292,7 @@ def _step_candidates(contact: Contact, m: int) -> tuple[tuple, ...]:
     at ``contact``, listed once: the families, then MonoH, then MonoK, each by
     ascending exponent.  ``w_in`` is the row's incoming node weight, and
     ``next_state`` is ``(*transition(kind), -w_in)``, or None for an end map."""
-    shapes = [Family(h, (m + h) // 2) for h in range(1, m)]
+    shapes = [Family(h, (m + h) // 2) for h in range(m % 2 or 2, m, 2)]  # k integral: h = m (mod 2)
     shapes += [MonoH(h) for h in range(1, m)] + [MonoK(k) for k in range(1, m)]
     rows = []
     for s in shapes:

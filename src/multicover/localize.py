@@ -23,10 +23,13 @@ m, every bubble below d and then the root (P0, d), so a row's tail is a
 state of a lower bubble that is already built, and no evaluation recurses.
 Only a row's node smoothing 1/(w + w_in) depends on the incoming weight
 w, so a bubble's record holds each row's coefficient times its tail sum,
-built once, over one common denominator.  A state's sum is stored in its
-bubble's record the first time a row or the root asks for it: it adds the
-row products over small integer smoothing denominators, reduced to one
-``Fraction``, and drops a row whose denominator is zero.  Building every
+built once, over one common denominator, as integers: the coefficient's
+numerator and denominator times the tail's pair, cross-reduced.  A state's
+sum is stored in its bubble's record the first time a row or the root asks
+for it: it adds the row products over small integer smoothing denominators,
+reduced by one gcd to a pair (numerator, denominator) of ints, and drops a
+row whose denominator is zero.  The table holds no ``Fraction``; the root's
+pair becomes the one that :func:`side_sum` returns.  Building every
 bubble below d also builds some that the root does not reach, such as
 (P0, d - 1), so a cold degree 10 holds 157 states where 146 are reached.
 The state sum carries no power of ``a``: a row's power is fixed by its
@@ -115,36 +118,46 @@ def chain_factors(chain: Chain) -> tuple[tuple[str, AlphaMonomial], ...]:
     return tuple(factors)
 
 
-# The state table, kept across degrees.  Per bubble (contact, m): ``(rows, L, sums)``, a row
-# ``(a, b, n * b)`` per _step_candidates row, w_in = a/b, c * tail = n/L (c its _step_coefficient,
-# tail 1 or its next state's sum), and ``sums`` each asked state's sum, keyed w = p/q as (p, q).
+# The state table, kept across degrees, all in ints.  Per bubble (contact, m): ``(rows, L, sums)``,
+# a row ``(a, b, n * b)`` per _step_candidates row, w_in = a/b, c * tail = n/L (c its
+# _step_coefficient, tail 1 or its next state's sum), and ``sums`` each asked state's sum as a
+# reduced pair (numerator, denominator > 0), keyed w = p/q as (p, q).
 _TABLE: dict[tuple[Contact, int], tuple] = {}
 
 
 def _fill_table(d: int) -> None:
     """Build the missing records of every bubble below degree d, then of the
-    root (P0, d), in increasing m: each row's tail state is in a lower bubble."""
+    root (P0, d), in increasing m: each row's tail state is in a lower bubble.
+    A row's c * tail is a pair of ints, cross-reduced as ``Fraction`` multiplies."""
     bubbles = [(c, m) for m in range(2, d) for c in Contact] + [(Contact.P0, d)]
     for contact, m in [bubble for bubble in bubbles if bubble not in _TABLE]:
         products = []
         for kind, w_in, nxt in _step_candidates(contact, m):
-            tail = 1 if nxt is None else _table_sum(*nxt)
-            products.append((w_in.numerator, w_in.denominator, _step_coefficient(kind) * tail))
-        L = math.lcm(*(c.denominator for _, _, c in products))
-        rows = tuple((a, b, c.numerator * (L // c.denominator) * b) for a, b, c in products)
+            c = _step_coefficient(kind)
+            n, r = c.numerator, c.denominator
+            if nxt is not None:
+                tn, tr = _table_sum(*nxt)
+                g, h = math.gcd(n, tr), math.gcd(tn, r)
+                n, r = (n // g) * (tn // h), (r // h) * (tr // g)
+            products.append((w_in.numerator, w_in.denominator, n, r))
+        L = math.lcm(*(r for _, _, _, r in products))
+        rows = tuple((a, b, n * (L // r) * b) for a, b, n, r in products)
         _TABLE[contact, m] = (rows, L, {})
 
 
-def _table_sum(contact: Contact, m: int, w: Fraction) -> Fraction:
-    """Sum from the state ``(contact, m, w)``, kept on first ask: row by row,
-    c * tail / (w + w_in) = n*b*q / (L*s) with w = p/q and s = p*b + a*q, over
-    M = lcm of the s, reduced once; s == 0 (zero smoothing weight) drops a row."""
+def _table_sum(contact: Contact, m: int, w: Fraction) -> tuple[int, int]:
+    """Sum from the state ``(contact, m, w)``, kept on first ask as a reduced
+    pair of ints: row by row, c * tail / (w + w_in) = n*b*q / (L*s) with
+    w = p/q and s = p*b + a*q, over M = lcm of the s, reduced once by one gcd;
+    s == 0 (zero smoothing weight) drops a row."""
     rows, L, sums = _TABLE[contact, m]
     p, q = w.numerator, w.denominator
     if (p, q) not in sums:
         terms = [(nb, s) for a, b, nb in rows if (s := p * b + a * q)]
         M = math.lcm(*(s for _, s in terms))
-        sums[p, q] = Fraction(q * sum(nb * (M // s) for nb, s in terms), L * M)
+        n, r = q * sum(nb * (M // s) for nb, s in terms), L * M
+        g = math.gcd(n, r)
+        sums[p, q] = n // g, r // g
     return sums[p, q]
 
 
@@ -188,7 +201,7 @@ def side_sum(d: int, side: str) -> AlphaMonomial:
         raise ValueError(f"side must be 'zero' or 'infinity', got {side!r}")
     d = _cover_degree(d)
     _fill_table(d)
-    total = AlphaMonomial(_table_sum(Contact.P0, d, base_tangent_weight(d)), 2 - 3 * d)
+    total = AlphaMonomial(Fraction(*_table_sum(Contact.P0, d, base_tangent_weight(d))), 2 - 3 * d)
     return alpha_flip(total) if side == "infinity" else total
 
 

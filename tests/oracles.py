@@ -264,14 +264,14 @@ def assert_value_structure(degrees):
 
 
 def assert_state_denominators(d):
-    """After a cold degree d, every state sum in the table has a denominator
-    with no prime factor above 3d, as N_d's has: a row factor with a stray
-    large prime fails at the first state it enters; tier-1 takes d = 40, CI
-    d = 60."""
+    """After a cold degree d, every state sum in the table, a reduced pair
+    (numerator, denominator), has a denominator with no prime factor above
+    3d, as N_d's has: a row factor with a stray large prime fails at the
+    first state it enters; tier-1 takes d = 40, CI d = 60."""
     cold_values([d])
     for (contact, m), (_, _, sums) in localize._TABLE.items():
-        for w, total in sums.items():
-            assert _is_smooth(total.denominator, 3 * d), (contact, m, w)
+        for w, (_, denominator) in sums.items():
+            assert _is_smooth(denominator, 3 * d), (contact, m, w)
 
 
 def _is_smooth(n, bound):

@@ -280,6 +280,16 @@ def test_stage2_sieves_once_per_level(monkeypatch):
     assert len(calls) == 2
 
 
+def test_stage1_split_builds_no_stage2_masks(monkeypatch):
+    # the first curve at B1 = 2000 splits 65537 * 1000003 in stage 1, so the
+    # level's masks, built when a curve first reaches stage 2, are never built
+    calls = []
+    masks = exact._stage2_masks
+    monkeypatch.setattr(exact, "_stage2_masks", lambda b1: calls.append(b1) or masks(b1))
+    assert exact._ecm(65537 * 1000003) == 65537
+    assert calls == []
+
+
 def test_ecm_frees_its_level_tables():
     assert_factorize_frees([11000])
 

@@ -204,6 +204,21 @@ def test_value_structure_through_degree_forty():
     assert_value_structure(range(2, 41))
 
 
+def test_state_table_holds_only_ints():
+    # rows and state sums are ints and reduced (numerator, denominator) pairs;
+    # the root's pair is the one side sum that becomes a Fraction
+    cold_values([20])
+    for rows, L, sums in localize._TABLE.values():
+        assert type(L) is int
+        for row in rows:
+            assert type(row) is tuple and all(type(x) is int for x in row), row
+        for n, r in sums.values():
+            assert type(n) is int and type(r) is int and r > 0, (n, r)
+            assert F(n, r).as_integer_ratio() == (n, r)
+    root = localize._TABLE[Contact.P0, 20][2][-1, 20]
+    assert F(*root) == side_sum(20, "zero").coeff
+
+
 def test_state_denominators_at_degree_forty():
     # all 3592 state sums of a cold d = 40, not only the value they add up to
     assert_state_denominators(40)
