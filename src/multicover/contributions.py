@@ -28,7 +28,7 @@ contact point; its main factor is the coefficient of ``psi``.  On ruled
 rows sigma is the degree-one Chern part of the obstruction bundle,
 h H_h + k (H_k - H_{k-h}) + d (H_d - H_{d-h}) - 3h over the harmonic
 numbers H_n, summed in integers over degree d's table of them
-(:func:`_family_sum`).  End-bubble families carry the dual
+(:func:`_family_sum`, a pair of ints).  End-bubble families carry the dual
 line (an extra automorphism), so their sigma is -1.
 
 :func:`_factors` writes all of it once, in integers, as one entry
@@ -39,7 +39,7 @@ over the one-dimensional locus, so no product of two psi classes arises),
 It has two readers, neither deriving a factor: :func:`step_factors` makes
 each entry a monomial, for the chain traces and the bundles (all but the
 psi integral), and :func:`_step_coefficient` multiplies the integers into
-one ``Fraction`` for the state sum, so all three agree by construction.
+one reduced pair of ints for the state sum, so all three agree by construction.
 :func:`ruled_contribution` refuses an end kind, :func:`end_contribution` a
 ruled one.  The product's power of ``a`` is fixed by the kind (3*out - 3d
 + 1 on a ruled map, 3 - 3d on an end map), so the state sum carries no
@@ -116,21 +116,27 @@ def _harmonic(d: int) -> tuple[int, tuple[int, ...]]:
     return L, tuple(t)
 
 
-def _family_sum(d: int, h: int, k: int) -> Fraction:
+def _family_sum(d: int, h: int, k: int) -> tuple[int, int]:
     """sigma = sum_{i<h} i/(h-i) + i/(k-i) + i/(d-i), the degree-one Chern
     part of the obstruction bundle over a map family.  As i/(n-i) =
     n/(n-i) - 1, it is h H_h + k (H_k - H_{k-h}) + d (H_d - H_{d-h}) - 3h,
-    which is 0 at h == 1: one integer sum over degree d's table L H_n, over L."""
+    which is 0 at h == 1: one integer sum over degree d's table L H_n, as
+    the pair (sum, L), not reduced."""
     L, H = _harmonic(d)
-    return Fraction(h * H[h] + k * (H[k] - H[k - h]) + d * (H[d] - H[d - h]) - 3 * h * L, L)
+    return h * H[h] + k * (H[k] - H[k - h]) + d * (H[d] - H[d - h]) - 3 * h * L, L
+
+
+def _psi(d: int, h: int) -> tuple[int, int]:
+    """-1/(d-h), the integral of psi over a family locus, as a reduced pair."""
+    return -1, d - h
 
 
 def psi_integral(d: int, h: int) -> Fraction:
-    """Integral of psi over a one-dimensional family locus: -1/(d-h)."""
+    """Integral of psi over a one-dimensional family locus: :func:`_psi`."""
     d, h = _integer("degree", d), _integer("h", h)
     if not 1 <= h <= d - 1:
         raise ValueError(f"psi integral needs 1 <= h <= d-1, got (d={d}, h={h})")
-    return Fraction(-1, d - h)
+    return Fraction(*_psi(d, h))
 
 
 def _factors(kind: FixedMapKind) -> list[tuple[str, int, int, int]]:
@@ -142,9 +148,9 @@ def _factors(kind: FixedMapKind) -> list[tuple[str, int, int, int]]:
     q = d - x
     e = 3 - 3 * d if end else 3 * kind.outgoing_exponent - 3 * d - 1
     if family:
-        sigma = -1 if end else _family_sum(d, s.h, s.k)
-        n = (-1) ** (s.h + s.k) * sigma.numerator
-        r = sigma.denominator * (math.factorial(d - s.h) * math.factorial(q)) ** 2
+        sigma, L = (-1, 1) if end else _family_sum(d, s.h, s.k)
+        n = (-1) ** (s.h + s.k) * sigma
+        r = L * (math.factorial(d - s.h) * math.factorial(q)) ** 2
     elif isinstance(s, MonoH) and c is not Contact.P2:
         n = (-1) ** (d + (d + x + 1) // 2) * 2 ** (q + end)
         r = (math.factorial(q) * math.prod(range(q, 0, -2))) ** 2 << -e  # 2^e
@@ -153,8 +159,7 @@ def _factors(kind: FixedMapKind) -> list[tuple[str, int, int, int]]:
         r = q * math.factorial(q) * math.factorial(2 * q)
     factors = [("main_psi_coeff" if family else "main", n * q**-e, r, e)]
     if family:
-        psi = psi_integral(d, s.h)
-        factors.append(("psi_integral", psi.numerator, psi.denominator, 0))
+        factors.append(("psi_integral", *_psi(d, s.h), 0))
     if not end:
         t = -1 if isinstance(s, MonoK) and c is not Contact.P2 else 2
         factors.append(("divisor_tangent", t, 1, 2))
@@ -197,13 +202,14 @@ def step_factors(kind: FixedMapKind) -> tuple[tuple[str, AlphaMonomial], ...]:
     return tuple((label, AlphaMonomial(Fraction(n, r), e)) for label, n, r, e in _factors(kind))
 
 
-def _step_coefficient(kind: FixedMapKind) -> Fraction:
+def _step_coefficient(kind: FixedMapKind) -> tuple[int, int]:
     """Coefficient of the product of :func:`step_factors`: the integers of
-    :func:`_factors` multiplied into one ``Fraction``, no monomial built."""
+    :func:`_factors` multiplied into one reduced pair ``(num, den)``, den > 0."""
     num = den = 1
     for _, n, r, _ in _factors(kind):
         num, den = num * n, den * r
-    return Fraction(num, den)
+    g = math.gcd(num, den)
+    return num // g, den // g
 
 
 def node_smoothing(left_weight: Fraction, right_weight: Fraction) -> AlphaMonomial:

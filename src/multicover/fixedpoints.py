@@ -35,15 +35,17 @@ chain.  The whole row model is one table and one rule:
 A row whose attaching node has zero smoothing weight is the broken limit
 of a family locus (the node deformation is the family direction), whose
 integral counts it.  Both readers of :func:`_step_candidates` drop it: the
-chain walker :func:`enumerate_chains` as a row whose ``w_in`` cancels the
-far weight, and the state table of :mod:`localize` as a zero denominator in
-a state's sum.  The walk goes first in, first out, so chains leave it in
-the published order, by number of steps and then row by row, as found.
+chain walker :func:`enumerate_chains` (and :class:`Chain`) as a row whose
+``w_in``, a reduced pair of ints like every row weight, equals the far
+weight negated, and the state table of :mod:`localize` as a zero
+denominator in a state's sum.  The walk goes first in, first out, so chains
+leave it in the published order, by number of steps and then row by row.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 import operator
 from fractions import Fraction
 from functools import lru_cache
@@ -208,13 +210,20 @@ def v4_weights(kind: FixedMapKind) -> tuple[Fraction, Fraction, Fraction, Fracti
     return (*(Fraction(sign * n, d - x) for n in w), Fraction(0))
 
 
+def _tangent_weight(kind: FixedMapKind) -> tuple[int, int]:
+    """-n / (d - e), n from ``_ROWS`` and e < d the outgoing exponent, as a
+    reduced pair of ints ``(a, b)`` with b > 0."""
+    a, b = -_ROWS[kind.contact, type(kind.shape)][1], kind.degree - kind.outgoing_exponent
+    g = math.gcd(a, b)
+    return a // g, b // g
+
+
 def source_tangent_weight(kind: FixedMapKind) -> Fraction:
     """Tangent weight of the source curve at its incoming node, in units of the
-    equivariant parameter: -n / (d - e), n from ``_ROWS`` and e the outgoing
-    exponent.  The outgoing node's weight is its negative, which equals w0 / d
-    for w0 the first of :func:`v4_weights`."""
-    n = _ROWS[kind.contact, type(kind.shape)][1]
-    return Fraction(-n, kind.degree - kind.outgoing_exponent)
+    equivariant parameter: :func:`_tangent_weight` as a ``Fraction``.  The
+    outgoing node's weight is its negative, which equals w0 / d for w0 the
+    first of :func:`v4_weights`."""
+    return Fraction(*_tangent_weight(kind))
 
 
 def base_tangent_weight(d: int) -> Fraction:
@@ -241,20 +250,24 @@ def transition(kind: FixedMapKind) -> tuple[Contact, int] | None:
 
 class Chain(Record):
     """The bubble maps over one of the two fixed points, base outwards.  Every
-    chain, walked or built by a caller, is checked at construction in one pass,
-    from (P0, d) through the bubble each step's ``transition`` names, to an end map."""
+    chain, walked or built, is checked when built in one pass, from (P0, d) through
+    the bubble each step's ``transition`` names, to an end map, over no node whose
+    weights cancel (the pair comparison of :func:`enumerate_chains`)."""
 
     def __init__(self, steps: tuple[FixedMapKind, ...]):
         steps = tuple(steps)  # a list would make the chain unhashable
         self.__dict__["steps"] = steps
         if not steps:
             raise ValueError("a chain has at least one bubble")
-        expected = (Contact.P0, steps[0].degree)
+        expected, drop = (Contact.P0, steps[0].degree), (1, steps[0].degree)
         for i, step in enumerate(steps):
             if (step.contact, step.degree) != expected:
                 prev = steps[i - 1].describe() if i else "the base"
                 raise ValueError(f"step {step.describe()} does not follow {prev}")
-            expected = transition(step)
+            if (w_in := _tangent_weight(step)) == drop:
+                w, at = Fraction(*w_in), f"{step.describe()} at smooth[{i or 'base'}->{i + 1}]"
+                raise ValueError(f"step {at}: node weights {-w} and {w} sum to zero")
+            expected, drop = transition(step), w_in
         if expected is not None:
             raise ValueError("the last step must be an end bubble")
 
@@ -290,17 +303,18 @@ class Configuration(Record):
 def _step_candidates(contact: Contact, m: int) -> tuple[tuple, ...]:
     """Every fixed-map row ``(kind, w_in, next_state)`` of a degree-m bubble met
     at ``contact``, listed once: the families, then MonoH, then MonoK, each by
-    ascending exponent.  ``w_in`` is the row's incoming node weight, and
-    ``next_state`` is ``(*transition(kind), -w_in)``, or None for an end map."""
+    ascending exponent.  ``w_in`` is the row's incoming node weight a/b as the
+    reduced pair (a, b), b > 0, and ``next_state`` ``(*transition(kind), (-a, b))``,
+    or None for an end map."""
     shapes = [Family(h, (m + h) // 2) for h in range(m % 2 or 2, m, 2)]  # k integral: h = m (mod 2)
     shapes += [MonoH(h) for h in range(1, m)] + [MonoK(k) for k in range(1, m)]
     rows = []
     for s in shapes:
         if _row_refusal(contact, m, s) is None:
             kind = FixedMapKind(contact, m, s)
-            w_in = source_tangent_weight(kind)
+            w_in = _tangent_weight(kind)
             nxt = transition(kind)
-            rows.append((kind, w_in, None if nxt is None else (*nxt, -w_in)))
+            rows.append((kind, w_in, None if nxt is None else (*nxt, (-w_in[0], w_in[1]))))
     return tuple(rows)
 
 
@@ -309,11 +323,11 @@ def enumerate_chains(d: int) -> list:
     published order: by number of steps, then step by step in the row order
     of :func:`_step_candidates`.  The walk takes entries from one list in the
     order they join it; an end row ends a chain.  An entry carries the w_in
-    of the row that led to its bubble, -w for the far weight w (1/d at the
-    base), and a row with that same w_in, w + w_in == 0, is dropped."""
+    pair of the row that led to its bubble, -w for the far weight w ((1, d) at
+    the base, w = -1/d), and a row with that same pair, w + w_in == 0, is dropped."""
     d = _cover_degree(d)
     out: list = []
-    pending = [((), Contact.P0, d, -base_tangent_weight(d))]
+    pending = [((), Contact.P0, d, (1, d))]
     for prefix, contact, m, drop in pending:
         for kind, w_in, nxt in _step_candidates(contact, m):
             if w_in == drop:

@@ -24,12 +24,13 @@ state of a lower bubble that is already built, and no evaluation recurses.
 Only a row's node smoothing 1/(w + w_in) depends on the incoming weight
 w, so a bubble's record holds each row's coefficient times its tail sum,
 built once, over one common denominator, as integers: the coefficient's
-numerator and denominator times the tail's pair, cross-reduced.  A state's
+pair from :func:`contributions._step_coefficient` times the tail's pair,
+cross-reduced; a state's weight is the row's reduced pair (p, q).  A state's
 sum is stored in its bubble's record the first time a row or the root asks
 for it: it adds the row products over small integer smoothing denominators,
 reduced by one gcd to a pair (numerator, denominator) of ints, and drops a
-row whose denominator is zero.  The table holds no ``Fraction``; the root's
-pair becomes the one that :func:`side_sum` returns.  Building every
+row whose denominator is zero.  No ``Fraction`` is built per row or state;
+the root's pair becomes the one that :func:`side_sum` returns.  Building every
 bubble below d also builds some that the root does not reach, such as
 (P0, d - 1), so a cold degree 10 holds 157 states where 146 are reached.
 The state sum carries no power of ``a``: a row's power is fixed by its
@@ -53,9 +54,7 @@ import math
 from fractions import Fraction
 
 from ._record import Record
-from .contributions import (
-    DegenerateNodeError, _step_coefficient, base_contribution, node_smoothing, step_factors
-)
+from .contributions import _step_coefficient, base_contribution, node_smoothing, step_factors
 from .exact import AlphaMonomial, alpha_flip
 from .fixedpoints import (
     Chain,
@@ -101,27 +100,23 @@ def chain_factors(chain: Chain) -> tuple[tuple[str, AlphaMonomial], ...]:
     """Ordered multiplicative factors of one chain, in the 0-side frame.
 
     Labels: ``smooth[a->b]`` for node smoothings and ``step<i>.<label>``
-    for the labels of :func:`step_factors`.  A node whose two weights sum to
-    zero raises :class:`DegenerateNodeError` naming the chain and the node.
+    for the labels of :func:`step_factors`.  No node's two weights sum to
+    zero: :class:`fixedpoints.Chain` refuses such a chain when it is built.
     """
     factors: list[tuple[str, AlphaMonomial]] = []
     w = base_tangent_weight(chain.degree)
     for i, step in enumerate(chain.steps, 1):
         w_in = source_tangent_weight(step)
-        node = f"smooth[{i - 1 or 'base'}->{i}]"
-        try:
-            factors.append((node, node_smoothing(w, w_in)))
-        except DegenerateNodeError as exc:
-            raise DegenerateNodeError(f"chain {chain.describe()} at {node}: {exc}") from None
+        factors.append((f"smooth[{i - 1 or 'base'}->{i}]", node_smoothing(w, w_in)))
         factors.extend((f"step{i}.{label}", m) for label, m in step_factors(step))
         w = -w_in
     return tuple(factors)
 
 
 # The state table, kept across degrees, all in ints.  Per bubble (contact, m): ``(rows, L, sums)``,
-# a row ``(a, b, n * b)`` per _step_candidates row, w_in = a/b, c * tail = n/L (c its
+# a row ``(a, b, n * b)`` per _step_candidates row, w_in = (a, b), c * tail = n/L (c its
 # _step_coefficient, tail 1 or its next state's sum), and ``sums`` each asked state's sum as a
-# reduced pair (numerator, denominator > 0), keyed w = p/q as (p, q).
+# reduced pair (numerator, denominator > 0), keyed by its weight pair w = (p, q).
 _TABLE: dict[tuple[Contact, int], tuple] = {}
 
 
@@ -133,32 +128,31 @@ def _fill_table(d: int) -> None:
     for contact, m in [bubble for bubble in bubbles if bubble not in _TABLE]:
         products = []
         for kind, w_in, nxt in _step_candidates(contact, m):
-            c = _step_coefficient(kind)
-            n, r = c.numerator, c.denominator
+            n, r = _step_coefficient(kind)
             if nxt is not None:
                 tn, tr = _table_sum(*nxt)
                 g, h = math.gcd(n, tr), math.gcd(tn, r)
                 n, r = (n // g) * (tn // h), (r // h) * (tr // g)
-            products.append((w_in.numerator, w_in.denominator, n, r))
+            products.append((*w_in, n, r))
         L = math.lcm(*(r for _, _, _, r in products))
         rows = tuple((a, b, n * (L // r) * b) for a, b, n, r in products)
         _TABLE[contact, m] = (rows, L, {})
 
 
-def _table_sum(contact: Contact, m: int, w: Fraction) -> tuple[int, int]:
-    """Sum from the state ``(contact, m, w)``, kept on first ask as a reduced
-    pair of ints: row by row, c * tail / (w + w_in) = n*b*q / (L*s) with
-    w = p/q and s = p*b + a*q, over M = lcm of the s, reduced once by one gcd;
-    s == 0 (zero smoothing weight) drops a row."""
+def _table_sum(contact: Contact, m: int, w: tuple[int, int]) -> tuple[int, int]:
+    """Sum from the state ``(contact, m, w)``, w = p/q as the reduced pair
+    (p, q), kept on first ask as a reduced pair of ints: row by row,
+    c * tail / (w + w_in) = n*b*q / (L*s) with s = p*b + a*q, over M = lcm
+    of the s, reduced once by one gcd; s == 0 (zero smoothing weight) drops a row."""
     rows, L, sums = _TABLE[contact, m]
-    p, q = w.numerator, w.denominator
-    if (p, q) not in sums:
+    if w not in sums:
+        p, q = w
         terms = [(nb, s) for a, b, nb in rows if (s := p * b + a * q)]
         M = math.lcm(*(s for _, s in terms))
         n, r = q * sum(nb * (M // s) for nb, s in terms), L * M
         g = math.gcd(n, r)
-        sums[p, q] = n // g, r // g
-    return sums[p, q]
+        sums[w] = n // g, r // g
+    return sums[w]
 
 
 def _chain_record(chain: Chain, base: AlphaMonomial) -> tuple:
@@ -201,7 +195,8 @@ def side_sum(d: int, side: str) -> AlphaMonomial:
         raise ValueError(f"side must be 'zero' or 'infinity', got {side!r}")
     d = _cover_degree(d)
     _fill_table(d)
-    total = AlphaMonomial(Fraction(*_table_sum(Contact.P0, d, base_tangent_weight(d))), 2 - 3 * d)
+    root = _table_sum(Contact.P0, d, base_tangent_weight(d).as_integer_ratio())
+    total = AlphaMonomial(Fraction(*root), 2 - 3 * d)
     return alpha_flip(total) if side == "infinity" else total
 
 

@@ -78,14 +78,15 @@ def monomial_state_sum(contact, m, w):
     """The one-sided sum from state ``(contact, m, w)`` by a second path: the
     same rows of :func:`_step_candidates`, less those with ``w + w_in == 0``,
     but each term is the monomial ``node_smoothing * step_factors product *
-    tail``, its power checked against 2 - 3m before its coefficient is summed."""
+    tail``, its power checked against 2 - 3m before its coefficient is summed.
+    ``w`` is a ``Fraction``; the rows' weight pairs become ``Fraction``s here."""
     total = F(0)
     for kind, w_in, nxt in _step_candidates(contact, m):
-        if w + w_in == 0:
+        if w + F(*w_in) == 0:
             continue
-        term = node_smoothing(w, w_in) * product(f for _, f in step_factors(kind))
+        term = node_smoothing(w, F(*w_in)) * product(f for _, f in step_factors(kind))
         if nxt is not None:
-            term = term * monomial_state_sum(*nxt)
+            term = term * monomial_state_sum(*nxt[:2], F(*nxt[2]))
         assert term.coeff == 0 or term.power == 2 - 3 * m, (kind.describe(), term)
         total += term.coeff
     return AlphaMonomial(total, 2 - 3 * m)
@@ -94,17 +95,19 @@ def monomial_state_sum(contact, m, w):
 def walk_rows(d, prune):
     """Chains by a walk over :func:`_step_candidates` written here: each state
     ``(contact, m, w)`` keeps a row iff ``w + w_in != 0``, or every row
-    without ``prune``, and the kept rows leave first in, first out."""
+    without ``prune``, and the kept rows leave first in, first out.  Without
+    ``prune`` it returns each chain's steps, as :class:`Chain` refuses one
+    that crosses a node whose weights cancel."""
     out = []
     pending = [((), Contact.P0, d, base_tangent_weight(d))]
     for prefix, contact, m, w in pending:
         for fk, w_in, nxt in _step_candidates(contact, m):
-            if prune and w + w_in == 0:
+            if prune and w + F(*w_in) == 0:
                 continue
             if nxt is None:
-                out.append(Chain(prefix + (fk,)))
+                out.append(Chain(prefix + (fk,)) if prune else prefix + (fk,))
             else:
-                pending.append((prefix + (fk,), *nxt))
+                pending.append((prefix + (fk,), *nxt[:2], F(*nxt[2])))
     return out
 
 
@@ -146,8 +149,9 @@ def assert_oracle_agrees(degrees):
 
 
 def assert_step_coefficients_agree(degrees):
-    """:func:`_step_coefficient` against the coefficient of the
-    :func:`step_factors` product, whose power must be 3*out - 3m + 1 on a
+    """:func:`_step_coefficient`, a reduced pair (num, den) with den > 0,
+    against the coefficient of the :func:`step_factors` product, whose power
+    must be 3*out - 3m + 1 on a
     ruled row and 3 - 3m on an end row (the power the state sum assumes),
     and the labels of :func:`step_factors`: ``main`` (a family's
     ``main_psi_coeff`` and ``psi_integral``), ``divisor_tangent`` on a ruled
@@ -159,7 +163,9 @@ def assert_step_coefficients_agree(degrees):
                 factors = step_factors(kind)
                 expected = product(f for _, f in factors)
                 power = 3 - 3 * m if kind.is_end_bubble else 3 * kind.outgoing_exponent - 3 * m + 1
-                assert (_step_coefficient(kind), expected.power) == (expected.coeff, power), kind
+                num, den = _step_coefficient(kind)
+                assert den > 0 and math.gcd(num, den) == 1, (kind, num, den)
+                assert (F(num, den), expected.power) == (expected.coeff, power), kind
                 s = kind.shape
                 q = m - (s.h if isinstance(s, MonoH) else s.k)
                 labels = ["main_psi_coeff", "psi_integral"] if isinstance(s, Family) else ["main"]
@@ -168,15 +174,18 @@ def assert_step_coefficients_agree(degrees):
 
 
 def assert_weights_agree(degrees):
-    """For every row of :func:`_step_candidates` of each degree m, the
-    outgoing node weight of ``_ROWS`` against the weight table of
-    :func:`v4_weights` twice: as w0 / m, and as (w0 - w_slot) / (m - out)
-    with w_slot the ``MonoK`` slot's weight w2, else w1; tier-1 takes
-    m = 2..39, CI m = 40..90."""
+    """For every row of :func:`_step_candidates` of each degree m, its
+    ``w_in``, a reduced pair (a, b) with b > 0 equal to
+    :func:`source_tangent_weight`, and the outgoing node weight -a/b
+    against the weight table of :func:`v4_weights` twice: as w0 / m, and as
+    (w0 - w_slot) / (m - out) with w_slot the ``MonoK`` slot's weight w2,
+    else w1; tier-1 takes m = 2..39, CI m = 40..90."""
     for m in degrees:
         for contact in Contact:
-            for kind, _, _ in _step_candidates(contact, m):
-                out = -source_tangent_weight(kind)
+            for kind, (a, b), _ in _step_candidates(contact, m):
+                assert b > 0 and math.gcd(a, b) == 1, (kind, a, b)
+                assert F(a, b) == source_tangent_weight(kind), kind
+                out = F(-a, b)
                 w = v4_weights(kind)
                 w_slot = w[2] if isinstance(kind.shape, MonoK) else w[1]
                 assert out == w[0] / m, kind

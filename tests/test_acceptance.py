@@ -89,6 +89,27 @@ def test_plain_path_fills_no_step_factors_cache():
     assert contributions.step_factors.cache_info().currsize == 0
 
 
+def test_cold_path_builds_fractions_independent_of_degree(monkeypatch):
+    # rows and states are int pairs, so a cold call builds the same few
+    # Fractions at any degree, none per row or per state
+    built = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(cls)
+        return new(cls, *args, **kwargs)
+
+    counts = []
+    for d in (10, 20, 30):
+        cold_caches()
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+        multiple_cover_invariant(d)
+        monkeypatch.undo()
+        counts.append(len(built))
+        built.clear()
+    assert counts[0] == counts[1] == counts[2] < 20, counts
+
+
 def test_no_library_function_calls_itself():
     # pending work lives in explicit data (the state table, the lists of
     # the chain walk and the factorizer), not in the frames of a recursion

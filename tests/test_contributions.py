@@ -6,6 +6,7 @@ import pytest
 
 from multicover.contributions import (
     DegenerateNodeError,
+    _factors,
     _family_sum,
     base_contribution,
     end_contribution,
@@ -20,6 +21,7 @@ from multicover.fixedpoints import (
     FixedMapKind,
     MonoH,
     MonoK,
+    _step_candidates,
     base_tangent_weight,
     source_tangent_weight,
 )
@@ -87,7 +89,7 @@ def test_family_sum_closed_form_matches_loop():
     rows = [(d, h, (d + h) // 2) for d in range(2, 90) for h in range(d % 2 or 2, d, 2)]
     assert len(rows) == 1936
     for d, h, k in rows:
-        assert _family_sum(d, h, k) == family_sum_loop(d, h, k), (d, h, k)
+        assert F(*_family_sum(d, h, k)) == family_sum_loop(d, h, k), (d, h, k)
 
 
 def test_ruled_monok_scale():
@@ -192,6 +194,21 @@ def test_psi_integral_values():
     assert psi_integral(3, 1) == F(-1, 2)
     assert psi_integral(2, 1) == F(-1)
     assert psi_integral(5, 3) == F(-1, 2)
+
+
+def test_family_rows_integrate_psi_by_psi_integral():
+    # the state sum reads each family row's psi entry from _factors' integers
+    families = [
+        kind
+        for m in range(2, 40)
+        for contact in Contact
+        for kind, _, _ in _step_candidates(contact, m)
+        if isinstance(kind.shape, Family)
+    ]
+    assert len(families) == 722
+    for kind in families:
+        (n, r, e), = [entry for label, *entry in _factors(kind) if label == "psi_integral"]
+        assert (F(n, r), e) == (psi_integral(kind.degree, kind.shape.h), 0), kind
 
 
 def test_psi_integral_negative_and_boundary():

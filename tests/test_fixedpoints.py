@@ -121,27 +121,35 @@ def test_end_maps_have_no_transition():
 
 
 def test_step_candidates_carry_weights_and_next_state():
-    # each row holds its kind's incoming node weight, never zero, and its next
-    # state the kind's transition and outgoing weight, or None on an end map
+    # each row holds its kind's incoming node weight as a reduced pair, never
+    # zero, and its next state the kind's transition and outgoing weight, or
+    # None on an end map
     for m in range(2, 9):
         for contact in Contact:
             for fk, w_in, nxt in _step_candidates(contact, m):
-                assert w_in == source_tangent_weight(fk)
-                assert w_in != 0
+                assert F(*w_in) == source_tangent_weight(fk)
+                assert F(*w_in).as_integer_ratio() == w_in
+                assert w_in[0] != 0
                 if fk.is_end_bubble:
                     assert nxt is None
                 else:
-                    assert nxt == (*transition(fk), -source_tangent_weight(fk))
+                    assert nxt == (*transition(fk), (-F(*w_in)).as_integer_ratio())
 
 
 @pytest.mark.parametrize("d", range(2, 10))
 def test_chains_drop_only_zero_smoothing_weight(d):
     # the walker drops a row exactly when its node weight cancels the
-    # incoming one; without that rule the walk finds more chains from d = 3
+    # incoming one; without that rule the walk finds more chains from d = 3,
+    # each of which the Chain constructor refuses
     chains = enumerate_chains(d)
     assert chains == walk_rows(d, prune=True)
-    unpruned = len(walk_rows(d, prune=False))
-    assert unpruned > len(chains) if d > 2 else unpruned == len(chains)
+    unpruned = walk_rows(d, prune=False)
+    kept = {c.steps: None for c in chains}
+    assert [steps for steps in unpruned if steps in kept] == list(kept)
+    for steps in set(unpruned) - kept.keys():
+        with pytest.raises(ValueError, match=r"node weights \S+ and \S+ sum to zero$"):
+            Chain(steps)
+    assert len(unpruned) > len(chains) if d > 2 else len(unpruned) == len(chains)
 
 
 # -- kind validation -----------------------------------------------------------

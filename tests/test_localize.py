@@ -10,7 +10,6 @@ import pytest
 from multicover import localize
 from multicover.cli import _print_breakdown
 from multicover.contributions import (
-    DegenerateNodeError,
     base_contribution,
     end_contribution,
     psi_integral,
@@ -179,7 +178,7 @@ def test_table_holds_every_reached_state():
     # the root; the table's other 11 lie in bubbles the root never enters,
     # like (P0, 9)
     seen = set()
-    todo = [(Contact.P0, 10, base_tangent_weight(10))]
+    todo = [(Contact.P0, 10, base_tangent_weight(10).as_integer_ratio())]
     while todo:
         state = todo.pop()
         if state not in seen:
@@ -187,10 +186,10 @@ def test_table_holds_every_reached_state():
             contact, m, w = state
             todo.extend(
                 nxt for _, w_in, nxt in _step_candidates(contact, m)
-                if nxt is not None and w + w_in != 0
+                if nxt is not None and F(*w) + F(*w_in) != 0
             )
     cold_values([10])
-    table = {(c, m, F(*w)) for (c, m), (_, _, sums) in localize._TABLE.items() for w in sums}
+    table = {(c, m, w) for (c, m), (_, _, sums) in localize._TABLE.items() for w in sums}
     assert seen <= table
     assert (len(seen), len(table - seen)) == (146, 11)
 
@@ -362,17 +361,18 @@ def test_nonzero_side_power_names_configuration(monkeypatch, entry):
 
 @pytest.mark.parametrize("entry", ["chain_factors", "configuration"])
 def test_degenerate_node_names_chain_and_node(entry):
-    # the constructor admits this chain, but its second node's weights, 1 and -1, sum to zero
-    chain = Chain((FixedMapKind(Contact.P0, 3, MonoK(2)), FixedMapKind(Contact.P2, 2, MonoK(1))))
+    # each step follows the one before, but the second node's weights, 1 and
+    # -1, sum to zero: the constructor names that step and node before either
+    # chain_factors or a configuration is given such a chain
+    steps = (FixedMapKind(Contact.P0, 3, MonoK(2)), FixedMapKind(Contact.P2, 2, MonoK(1)))
     evaluate = {
-        "chain_factors": lambda: chain_factors(chain),
+        "chain_factors": lambda: chain_factors(Chain(steps)),
         "configuration": lambda: configuration_contribution(
-            Configuration(3, enumerate_chains(3)[0], chain)
+            Configuration(3, enumerate_chains(3)[0], Chain(steps))
         ),
     }[entry]
-    with pytest.raises(DegenerateNodeError, match=(
-        r"^chain P0:d=3:MonoK\(k=2\):ruled -> P2:d=2:MonoK\(k=1\):end at smooth\[1->2\]: "
-        r"node weights 1 and -1 sum to zero$"
+    with pytest.raises(ValueError, match=(
+        r"^step P2:d=2:MonoK\(k=1\):end at smooth\[1->2\]: node weights 1 and -1 sum to zero$"
     )):
         evaluate()
 
