@@ -36,10 +36,12 @@ line (an extra automorphism), so their sigma is -1.
 ``main_psi_coeff``, then ``psi_integral``, as psi integrates to -1/(d-h)
 over the one-dimensional locus, so no product of two psi classes arises),
 ``divisor_tangent`` on a ruled map, and ``automorphisms`` unless q == 1.
-It has two readers, neither deriving a factor: :func:`step_factors` makes
+It takes a row's ``(contact, degree, shape)``, not a :class:`FixedMapKind`,
+and has two readers, neither deriving a factor: :func:`step_factors` makes
 each entry a monomial, for the chain traces and the bundles (all but the
-psi integral), and :func:`_step_coefficient` multiplies the integers into
-one reduced pair of ints for the state sum, so all three agree by construction.
+psi integral), passing its kind's fields, and :func:`_step_coefficient`
+multiplies the integers into one reduced pair of ints for the state sum,
+which reads shapes and builds no kind, so all three agree by construction.
 :func:`ruled_contribution` refuses an end kind, :func:`end_contribution` a
 ruled one.  The product's power of ``a`` is fixed by the kind (3*out - 3d
 + 1 on a ruled map, 3 - 3d on an end map), so the state sum carries no
@@ -54,7 +56,16 @@ from functools import lru_cache
 
 from ._record import Record
 from .exact import AlphaMonomial, MONO_ONE
-from .fixedpoints import Contact, Family, FixedMapKind, MonoH, MonoK, _integer
+from .fixedpoints import (
+    Contact,
+    Family,
+    FixedMapKind,
+    MonoH,
+    MonoK,
+    Shape,
+    _integer,
+    _outgoing_exponent,
+)
 
 __all__ = [
     "FactorBundle",
@@ -139,14 +150,14 @@ def psi_integral(d: int, h: int) -> Fraction:
     return Fraction(*_psi(d, h))
 
 
-def _factors(kind: FixedMapKind) -> list[tuple[str, int, int, int]]:
-    """The listing of the module docstring, n/r not reduced and e < 0 on
-    the main factor."""
-    d, s, c, end = kind.degree, kind.shape, kind.contact, kind.is_end_bubble
-    family = isinstance(s, Family)
+def _factors(c: Contact, d: int, s: Shape) -> list[tuple[str, int, int, int]]:
+    """The listing of the module docstring for the map of shape ``s``, degree d,
+    met at contact c, n/r not reduced and e < 0 on the main factor."""
+    out = _outgoing_exponent(s)
+    end, family = out == 1, isinstance(s, Family)
     x = s.h if isinstance(s, MonoH) else s.k
     q = d - x
-    e = 3 - 3 * d if end else 3 * kind.outgoing_exponent - 3 * d - 1
+    e = 3 - 3 * d if end else 3 * out - 3 * d - 1
     if family:
         sigma, L = (-1, 1) if end else _family_sum(d, s.h, s.k)
         n = (-1) ** (s.h + s.k) * sigma
@@ -199,14 +210,17 @@ def step_factors(kind: FixedMapKind) -> tuple[tuple[str, AlphaMonomial], ...]:
     frame: the entries of :func:`_factors` as monomials, labelled ``main``
     (or ``main_psi_coeff``, ``psi_integral``), ``divisor_tangent``,
     ``automorphisms``."""
-    return tuple((label, AlphaMonomial(Fraction(n, r), e)) for label, n, r, e in _factors(kind))
+    factors = _factors(kind.contact, kind.degree, kind.shape)
+    return tuple((label, AlphaMonomial(Fraction(n, r), e)) for label, n, r, e in factors)
 
 
-def _step_coefficient(kind: FixedMapKind) -> tuple[int, int]:
-    """Coefficient of the product of :func:`step_factors`: the integers of
-    :func:`_factors` multiplied into one reduced pair ``(num, den)``, den > 0."""
+def _step_coefficient(contact: Contact, degree: int, shape: Shape) -> tuple[int, int]:
+    """Coefficient of the product of :func:`step_factors` for the kind
+    (contact, degree, shape), read from the row without building it: the
+    integers of :func:`_factors` multiplied into one reduced pair ``(num, den)``,
+    den > 0."""
     num = den = 1
-    for _, n, r, _ in _factors(kind):
+    for _, n, r, _ in _factors(contact, degree, shape):
         num, den = num * n, den * r
     g = math.gcd(num, den)
     return num // g, den // g

@@ -25,12 +25,19 @@ chain.  The whole row model is one table and one rule:
 
 * ``_ROWS``, keyed by (contact, shape type), gives the next bubble's contact
   (the chain automaton) and the numerator n of a degree-m bubble's incoming
-  node weight -n / (m - e), the one node weight ``source_tangent_weight`` gives;
+  node weight -n / (m - e), e the outgoing exponent of ``_outgoing_exponent``;
+  ``_row_step`` reads it once per row, for the row's node weight and its
+  successor, and every reader of a row's weight or transition goes through it;
 * ``_row_refusal`` says why (contact, m, shape) is not a row, or None; it
-  validates kinds, and ``_step_candidates`` lists once the rows it admits:
-  families, then ``MonoH``, then ``MonoK``, each by ascending exponent.
-  At ``P0``/``P1`` it refuses a ``MonoH`` with ``h == m (mod 2)`` (a limit
-  of the family with ``k == (m+h)/2``) and, unless m == 2, ``MonoK(1)``.
+  validates kinds, and ``_step_candidates`` lists once the rows it admits,
+  as ``(shape, w_in, next_state)``: families, then ``MonoH``, then
+  ``MonoK``, each by ascending exponent.  At ``P0``/``P1`` it refuses a
+  ``MonoH`` with ``h == m (mod 2)`` (a limit of the family with
+  ``k == (m+h)/2``) and, unless m == 2, ``MonoK(1)``.
+
+A row is a shape, not a :class:`FixedMapKind`: the state table of
+:mod:`localize` reads (contact, m, shape) and builds no kind, and a kind is
+built, by its one checking constructor, only where a caller receives one.
 
 A row whose attaching node has zero smoothing weight is the broken limit
 of a family locus (the node deformation is the family direction), whose
@@ -136,6 +143,23 @@ _ROWS = {
 }
 
 
+def _outgoing_exponent(s: Shape) -> int:
+    """Contact order of a map of shape ``s`` with the far divisor: k on ``MonoK``, else h."""
+    return s.k if isinstance(s, MonoK) else s.h
+
+
+def _row_step(contact: Contact, m: int, s: Shape) -> tuple[tuple[int, int], tuple | None]:
+    """``(w_in, next_state)`` of the row (contact, m, s), from one ``_ROWS`` read:
+    w_in = -n / (m - e) as the reduced pair (a, b), b > 0, and next_state
+    ``(next contact, e, (-a, b))``, the next bubble met with the far weight,
+    or None for an end map (e == 1)."""
+    nxt, n = _ROWS[contact, type(s)]
+    e = _outgoing_exponent(s)
+    g = math.gcd(n, m - e)
+    a, b = -n // g, (m - e) // g
+    return (a, b), None if e == 1 else (nxt, e, (-a, b))
+
+
 def _row_refusal(contact: Contact, d: int, s: Shape) -> str | None:
     """Why ``(contact, d, s)`` is not a fixed-map row, or None if it is one."""
     if d < 2:
@@ -180,8 +204,7 @@ class FixedMapKind(Record):
     @property
     def outgoing_exponent(self) -> int:
         """Contact order with the far divisor; the next bubble's degree."""
-        s = self.shape
-        return s.k if isinstance(s, MonoK) else s.h
+        return _outgoing_exponent(self.shape)
 
     @property
     def is_end_bubble(self) -> bool:
@@ -210,20 +233,12 @@ def v4_weights(kind: FixedMapKind) -> tuple[Fraction, Fraction, Fraction, Fracti
     return (*(Fraction(sign * n, d - x) for n in w), Fraction(0))
 
 
-def _tangent_weight(kind: FixedMapKind) -> tuple[int, int]:
-    """-n / (d - e), n from ``_ROWS`` and e < d the outgoing exponent, as a
-    reduced pair of ints ``(a, b)`` with b > 0."""
-    a, b = -_ROWS[kind.contact, type(kind.shape)][1], kind.degree - kind.outgoing_exponent
-    g = math.gcd(a, b)
-    return a // g, b // g
-
-
 def source_tangent_weight(kind: FixedMapKind) -> Fraction:
     """Tangent weight of the source curve at its incoming node, in units of the
-    equivariant parameter: :func:`_tangent_weight` as a ``Fraction``.  The
-    outgoing node's weight is its negative, which equals w0 / d for w0 the
-    first of :func:`v4_weights`."""
-    return Fraction(*_tangent_weight(kind))
+    equivariant parameter: the ``w_in`` pair of :func:`_row_step` as a
+    ``Fraction``.  The outgoing node's weight is its negative, which equals
+    w0 / d for w0 the first of :func:`v4_weights`."""
+    return Fraction(*_row_step(kind.contact, kind.degree, kind.shape)[0])
 
 
 def base_tangent_weight(d: int) -> Fraction:
@@ -244,14 +259,14 @@ def transition(kind: FixedMapKind) -> tuple[Contact, int] | None:
     """Next bubble's (contact, degree), or None for an end map.  The
     outgoing direction inherits the role its weight plays in the next
     bubble's pattern, which gives the automaton column of ``_ROWS``."""
-    e = kind.outgoing_exponent
-    return None if e == 1 else (_ROWS[kind.contact, type(kind.shape)][0], e)
+    nxt = _row_step(kind.contact, kind.degree, kind.shape)[1]
+    return None if nxt is None else nxt[:2]
 
 
 class Chain(Record):
     """The bubble maps over one of the two fixed points, base outwards.  Every
     chain, walked or built, is checked when built in one pass, from (P0, d) through
-    the bubble each step's ``transition`` names, to an end map, over no node whose
+    the bubble each step's :func:`_row_step` names, to an end map, over no node whose
     weights cancel (the pair comparison of :func:`enumerate_chains`)."""
 
     def __init__(self, steps: tuple[FixedMapKind, ...]):
@@ -259,15 +274,21 @@ class Chain(Record):
         self.__dict__["steps"] = steps
         if not steps:
             raise ValueError("a chain has at least one bubble")
-        expected, drop = (Contact.P0, steps[0].degree), (1, steps[0].degree)
         for i, step in enumerate(steps):
+            if not isinstance(step, FixedMapKind):
+                raise TypeError(
+                    f"steps[{i}] must be a FixedMapKind, got {step!r} ({type(step).__name__})"
+                )
+            if not i:
+                expected, drop = (Contact.P0, step.degree), (1, step.degree)
             if (step.contact, step.degree) != expected:
                 prev = steps[i - 1].describe() if i else "the base"
                 raise ValueError(f"step {step.describe()} does not follow {prev}")
-            if (w_in := _tangent_weight(step)) == drop:
+            w_in, nxt = _row_step(step.contact, step.degree, step.shape)
+            if w_in == drop:
                 w, at = Fraction(*w_in), f"{step.describe()} at smooth[{i or 'base'}->{i + 1}]"
                 raise ValueError(f"step {at}: node weights {-w} and {w} sum to zero")
-            expected, drop = transition(step), w_in
+            expected, drop = None if nxt is None else nxt[:2], w_in
         if expected is not None:
             raise ValueError("the last step must be an end bubble")
 
@@ -288,6 +309,9 @@ class Configuration(Record):
             cover_degree, chain_zero, chain_infinity
         )
         d = _cover_degree(cover_degree)
+        for name, chain in (("chain_zero", chain_zero), ("chain_infinity", chain_infinity)):
+            if not isinstance(chain, Chain):
+                raise TypeError(f"{name} must be a Chain, got {chain!r} ({type(chain).__name__})")
         zero, infinity = chain_zero.degree, chain_infinity.degree
         if {zero, infinity} != {d}:
             raise ValueError(f"chain degrees {zero} and {infinity} must equal the cover degree {d}")
@@ -301,21 +325,16 @@ class Configuration(Record):
 
 @lru_cache(maxsize=None)
 def _step_candidates(contact: Contact, m: int) -> tuple[tuple, ...]:
-    """Every fixed-map row ``(kind, w_in, next_state)`` of a degree-m bubble met
+    """Every fixed-map row ``(shape, w_in, next_state)`` of a degree-m bubble met
     at ``contact``, listed once: the families, then MonoH, then MonoK, each by
-    ascending exponent.  ``w_in`` is the row's incoming node weight a/b as the
-    reduced pair (a, b), b > 0, and ``next_state`` ``(*transition(kind), (-a, b))``,
-    or None for an end map."""
+    ascending exponent.  ``w_in`` and ``next_state`` are those of :func:`_row_step`:
+    the row's incoming node weight a/b as the reduced pair (a, b), b > 0, and
+    ``(next contact, e, (-a, b))``, or None for an end map.  No kind is built."""
     shapes = [Family(h, (m + h) // 2) for h in range(m % 2 or 2, m, 2)]  # k integral: h = m (mod 2)
     shapes += [MonoH(h) for h in range(1, m)] + [MonoK(k) for k in range(1, m)]
-    rows = []
-    for s in shapes:
-        if _row_refusal(contact, m, s) is None:
-            kind = FixedMapKind(contact, m, s)
-            w_in = _tangent_weight(kind)
-            nxt = transition(kind)
-            rows.append((kind, w_in, None if nxt is None else (*nxt, (-w_in[0], w_in[1]))))
-    return tuple(rows)
+    return tuple(
+        (s, *_row_step(contact, m, s)) for s in shapes if _row_refusal(contact, m, s) is None
+    )
 
 
 def enumerate_chains(d: int) -> list:
@@ -324,12 +343,17 @@ def enumerate_chains(d: int) -> list:
     of :func:`_step_candidates`.  The walk takes entries from one list in the
     order they join it; an end row ends a chain.  An entry carries the w_in
     pair of the row that led to its bubble, -w for the far weight w ((1, d) at
-    the base, w = -1/d), and a row with that same pair, w + w_in == 0, is dropped."""
+    the base, w = -1/d), and a row with that same pair, w + w_in == 0, is dropped.
+    Each reached bubble's rows become kinds once per call, in a local dict."""
     d = _cover_degree(d)
     out: list = []
+    kinds: dict = {}
     pending = [((), Contact.P0, d, (1, d))]
     for prefix, contact, m, drop in pending:
-        for kind, w_in, nxt in _step_candidates(contact, m):
+        rows = _step_candidates(contact, m)
+        if (contact, m) not in kinds:
+            kinds[contact, m] = [FixedMapKind(contact, m, s) for s, _, _ in rows]
+        for kind, (_, w_in, nxt) in zip(kinds[contact, m], rows):
             if w_in == drop:
                 continue
             if nxt is None:

@@ -14,27 +14,30 @@ agree by construction, and a row's factor has a single source.
 Every configuration multiplies out to a degree-zero monomial -- a pure
 number -- and the invariant is their exact sum.  Because the factors are
 side-local, that sum equals base * S * flip(S) with S the one-sided sum,
-and because a step's factors depend only on its kind and the incoming
-node weight, S is a sum over the (contact, degree, weight) states of the
-chain automaton: the default path, polynomial in d.  The states live in
-one explicit table, :data:`_TABLE`, kept across degrees.
-:func:`_fill_table` builds its bubble records (contact, m) in increasing
-m, every bubble below d and then the root (P0, d), so a row's tail is a
-state of a lower bubble that is already built, and no evaluation recurses.
-Only a row's node smoothing 1/(w + w_in) depends on the incoming weight
-w, so a bubble's record holds each row's coefficient times its tail sum,
-built once, over one common denominator, as integers: the coefficient's
-pair from :func:`contributions._step_coefficient` times the tail's pair,
-cross-reduced; a state's weight is the row's reduced pair (p, q).  A state's
-sum is stored in its bubble's record the first time a row or the root asks
-for it: it adds the row products over small integer smoothing denominators,
-reduced by one gcd to a pair (numerator, denominator) of ints, and drops a
-row whose denominator is zero.  No ``Fraction`` is built per row or state;
-the root's pair becomes the one that :func:`side_sum` returns.  Building every
-bubble below d also builds some that the root does not reach, such as
-(P0, d - 1), so a cold degree 10 holds 157 states where 146 are reached.
-The state sum carries no power of ``a``: a row's power is fixed by its
-kind, so every degree-m state's sum has power 2 - 3m by construction.
+and because a step's factors depend only on its (contact, degree, shape)
+and the incoming node weight, S is a sum over the (contact, degree,
+weight) states of the chain automaton: the default path, polynomial in
+d.  The states live in one explicit table, :data:`_TABLE`, kept across
+degrees.  :func:`_fill_table` builds its bubble records (contact, m) in
+increasing m, every bubble below d and then the root (P0, d), so a row's
+tail is a state of a lower bubble that is already built, and no
+evaluation recurses.  Only a row's node smoothing 1/(w + w_in) depends on
+the incoming weight w, so a bubble's record holds each row's coefficient
+times its tail sum, built once, over one common denominator, as
+integers: the coefficient's pair from
+:func:`contributions._step_coefficient`, read from the row's shape,
+times the tail's pair, cross-reduced; a state's weight is the row's
+reduced pair (p, q).  A state's sum is stored in its bubble's record the
+first time a row or the root asks for it: it adds the row products over
+small integer smoothing denominators, reduced by one gcd to a pair
+(numerator, denominator) of ints, and drops a row whose denominator is
+zero.  No ``Fraction`` is built per row or state, and no
+:class:`fixedpoints.FixedMapKind` at all; the root's pair becomes the
+one that :func:`side_sum` returns.  Building every bubble below d also
+builds some that the root does not reach, such as (P0, d - 1), so a cold
+degree 10 holds 157 states where 146 are reached.  The state sum carries
+no power of ``a``: a row's power is fixed by its shape and degree, so
+every degree-m state's sum has power 2 - 3m by construction.
 
 Chains are enumerated one by one, by :func:`fixedpoints.enumerate_chains`,
 only for ``--breakdown``, the per-configuration API and the test oracles.
@@ -127,8 +130,8 @@ def _fill_table(d: int) -> None:
     bubbles = [(c, m) for m in range(2, d) for c in Contact] + [(Contact.P0, d)]
     for contact, m in [bubble for bubble in bubbles if bubble not in _TABLE]:
         products = []
-        for kind, w_in, nxt in _step_candidates(contact, m):
-            n, r = _step_coefficient(kind)
+        for shape, w_in, nxt in _step_candidates(contact, m):
+            n, r = _step_coefficient(contact, m, shape)
             if nxt is not None:
                 tn, tr = _table_sum(*nxt)
                 g, h = math.gcd(n, tr), math.gcd(tn, r)

@@ -79,11 +79,13 @@ def monomial_state_sum(contact, m, w):
     same rows of :func:`_step_candidates`, less those with ``w + w_in == 0``,
     but each term is the monomial ``node_smoothing * step_factors product *
     tail``, its power checked against 2 - 3m before its coefficient is summed.
-    ``w`` is a ``Fraction``; the rows' weight pairs become ``Fraction``s here."""
+    ``w`` is a ``Fraction``; the rows' weight pairs become ``Fraction``s and
+    their shapes checked kinds here."""
     total = F(0)
-    for kind, w_in, nxt in _step_candidates(contact, m):
+    for shape, w_in, nxt in _step_candidates(contact, m):
         if w + F(*w_in) == 0:
             continue
+        kind = FixedMapKind(contact, m, shape)
         term = node_smoothing(w, F(*w_in)) * product(f for _, f in step_factors(kind))
         if nxt is not None:
             term = term * monomial_state_sum(*nxt[:2], F(*nxt[2]))
@@ -101,9 +103,10 @@ def walk_rows(d, prune):
     out = []
     pending = [((), Contact.P0, d, base_tangent_weight(d))]
     for prefix, contact, m, w in pending:
-        for fk, w_in, nxt in _step_candidates(contact, m):
+        for shape, w_in, nxt in _step_candidates(contact, m):
             if prune and w + F(*w_in) == 0:
                 continue
+            fk = FixedMapKind(contact, m, shape)
             if nxt is None:
                 out.append(Chain(prefix + (fk,)) if prune else prefix + (fk,))
             else:
@@ -159,11 +162,12 @@ def assert_step_coefficients_agree(degrees):
     degree m; tier-1 takes m = 2..39, CI m = 40..90."""
     for m in degrees:
         for contact in Contact:
-            for kind, _, _ in _step_candidates(contact, m):
+            for shape, _, _ in _step_candidates(contact, m):
+                kind = FixedMapKind(contact, m, shape)
                 factors = step_factors(kind)
                 expected = product(f for _, f in factors)
                 power = 3 - 3 * m if kind.is_end_bubble else 3 * kind.outgoing_exponent - 3 * m + 1
-                num, den = _step_coefficient(kind)
+                num, den = _step_coefficient(contact, m, shape)
                 assert den > 0 and math.gcd(num, den) == 1, (kind, num, den)
                 assert (F(num, den), expected.power) == (expected.coeff, power), kind
                 s = kind.shape
@@ -182,7 +186,8 @@ def assert_weights_agree(degrees):
     else w1; tier-1 takes m = 2..39, CI m = 40..90."""
     for m in degrees:
         for contact in Contact:
-            for kind, (a, b), _ in _step_candidates(contact, m):
+            for shape, (a, b), _ in _step_candidates(contact, m):
+                kind = FixedMapKind(contact, m, shape)
                 assert b > 0 and math.gcd(a, b) == 1, (kind, a, b)
                 assert F(a, b) == source_tangent_weight(kind), kind
                 out = F(-a, b)

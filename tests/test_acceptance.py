@@ -22,6 +22,7 @@ from multicover.fixedpoints import (
     FixedMapKind,
     MonoH,
     MonoK,
+    enumerate_chains,
     enumerate_configurations,
     source_tangent_weight,
 )
@@ -108,6 +109,25 @@ def test_cold_path_builds_fractions_independent_of_degree(monkeypatch):
         counts.append(len(built))
         built.clear()
     assert counts[0] == counts[1] == counts[2] < 20, counts
+
+
+def test_cold_state_table_builds_no_kinds(monkeypatch):
+    # the state table reads each row's shape, so a cold call builds no
+    # FixedMapKind: no kind is built where no caller receives one
+    built = []
+    init = FixedMapKind.__init__
+
+    def counting(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    cold_caches()
+    monkeypatch.setattr(FixedMapKind, "__init__", counting)
+    multiple_cover_invariant(20)
+    assert built == []
+    enumerate_chains(2)  # the counter does see kinds: the walk builds (P0, 2)'s two rows
+    monkeypatch.undo()
+    assert built == [(Contact.P0, 2, MonoH(1)), (Contact.P0, 2, MonoK(1))]
 
 
 def test_no_library_function_calls_itself():

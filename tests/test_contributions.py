@@ -199,15 +199,16 @@ def test_psi_integral_values():
 def test_family_rows_integrate_psi_by_psi_integral():
     # the state sum reads each family row's psi entry from _factors' integers
     families = [
-        kind
+        FixedMapKind(contact, m, shape)
         for m in range(2, 40)
         for contact in Contact
-        for kind, _, _ in _step_candidates(contact, m)
-        if isinstance(kind.shape, Family)
+        for shape, _, _ in _step_candidates(contact, m)
+        if isinstance(shape, Family)
     ]
     assert len(families) == 722
     for kind in families:
-        (n, r, e), = [entry for label, *entry in _factors(kind) if label == "psi_integral"]
+        factors = _factors(kind.contact, kind.degree, kind.shape)
+        (n, r, e), = [entry for label, *entry in factors if label == "psi_integral"]
         assert (F(n, r), e) == (psi_integral(kind.degree, kind.shape.h), 0), kind
 
 

@@ -61,7 +61,7 @@ def test_weight_table_digest():
         f"{fk.describe()}\t{' '.join(map(str, v4_weights(fk)))}\n"
         for m in range(2, 40)
         for contact in Contact
-        for fk, _, _ in _step_candidates(contact, m)
+        for fk in (FixedMapKind(contact, m, shape) for shape, _, _ in _step_candidates(contact, m))
     )
     assert lines.count("\n") == 4372
     assert hashlib.sha256(lines.encode()).hexdigest() == WEIGHTS_DIGEST
@@ -121,12 +121,13 @@ def test_end_maps_have_no_transition():
 
 
 def test_step_candidates_carry_weights_and_next_state():
-    # each row holds its kind's incoming node weight as a reduced pair, never
-    # zero, and its next state the kind's transition and outgoing weight, or
-    # None on an end map
+    # each row holds its shape, its kind's incoming node weight as a reduced
+    # pair, never zero, and its next state the kind's transition and outgoing
+    # weight, or None on an end map
     for m in range(2, 9):
         for contact in Contact:
-            for fk, w_in, nxt in _step_candidates(contact, m):
+            for shape, w_in, nxt in _step_candidates(contact, m):
+                fk = FixedMapKind(contact, m, shape)
                 assert F(*w_in) == source_tangent_weight(fk)
                 assert F(*w_in).as_integer_ratio() == w_in
                 assert w_in[0] != 0
@@ -150,6 +151,29 @@ def test_chains_drop_only_zero_smoothing_weight(d):
         with pytest.raises(ValueError, match=r"node weights \S+ and \S+ sum to zero$"):
             Chain(steps)
     assert len(unpruned) > len(chains) if d > 2 else len(unpruned) == len(chains)
+
+
+@pytest.mark.parametrize(
+    "d, kinds, chains", [(2, 2, 2), (5, 34, 37), (9, 158, 2364), (11, 256, 18949)]
+)
+def test_chain_walk_builds_each_row_kind_once(d, kinds, chains, monkeypatch):
+    # the walk builds one kind per row of each bubble its chains pass
+    # through, once per call, not one per prefix that reaches the row
+    # (d = 11's chains hold 125064 steps)
+    built = []
+    init = FixedMapKind.__init__
+
+    def counting(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(FixedMapKind, "__init__", counting)
+    walked = enumerate_chains(d)
+    monkeypatch.undo()
+    bubbles = {(s.contact, s.degree) for c in walked for s in c.steps}
+    rows = [(c, m, shape) for c, m in bubbles for shape, _, _ in _step_candidates(c, m)]
+    assert sorted(built, key=repr) == sorted(rows, key=repr)
+    assert (len(built), len(walked)) == (kinds, chains)
 
 
 # -- kind validation -----------------------------------------------------------
@@ -200,8 +224,21 @@ def test_kind_degree_and_shape_checked():
             lambda: Configuration(2.0, *enumerate_chains(2)),
             "degree must be an integer, got 2.0 (float)",
         ),
+        (lambda: Chain([1]), "steps[0] must be a FixedMapKind, got 1 (int)"),
+        (
+            lambda: Chain((enumerate_chains(2)[0].steps[0], MonoH(1))),
+            "steps[1] must be a FixedMapKind, got MonoH(h=1) (MonoH)",
+        ),
+        (lambda: Configuration(2, "a", "b"), "chain_zero must be a Chain, got 'a' (str)"),
+        (
+            lambda: Configuration(2, enumerate_chains(2)[0], None),
+            "chain_infinity must be a Chain, got None (NoneType)",
+        ),
     ],
-    ids=["degree", "k", "h", "contact", "configuration"],
+    ids=[
+        "degree", "k", "h", "contact", "configuration", "chain", "chain-step",
+        "configuration-zero", "configuration-infinity",
+    ],
 )
 def test_kinds_and_configurations_refuse_wrong_types(build, message):
     # the value and its type are named when the object is built, not on first use
@@ -229,7 +266,8 @@ def test_listing_agrees_with_validation():
                     admitted.append(FixedMapKind(contact, m, shape))
                 except InvalidKindError:
                     pass
-            assert [fk for fk, _, _ in _step_candidates(contact, m)] == admitted
+            listed = [FixedMapKind(contact, m, s) for s, _, _ in _step_candidates(contact, m)]
+            assert listed == admitted
 
 
 # -- chains and configurations ---------------------------------------------------

@@ -239,7 +239,8 @@ def test_values_beyond_the_table_match_frozen():
 def test_step_factors_match_bundles_and_chain_traces():
     for m in range(2, 7):
         for contact in Contact:
-            for kind, _, _ in _step_candidates(contact, m):
+            for shape, _, _ in _step_candidates(contact, m):
+                kind = FixedMapKind(contact, m, shape)
                 evaluate = end_contribution if kind.is_end_bubble else ruled_contribution
                 bundle = evaluate(kind)
                 main = bundle.main

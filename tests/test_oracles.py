@@ -23,11 +23,13 @@ SHARES = {
         "multicover.contributions.step_factors",
         "multicover.exact.AlphaMonomial",
         "multicover.exact.MONO_ONE",
+        "multicover.fixedpoints.FixedMapKind",
         "multicover.fixedpoints._step_candidates",
     },
     "walk_rows": {
         "multicover.fixedpoints.Chain",
         "multicover.fixedpoints.Contact",
+        "multicover.fixedpoints.FixedMapKind",
         "multicover.fixedpoints._step_candidates",
         "multicover.fixedpoints.base_tangent_weight",
     },
