@@ -20,11 +20,9 @@ from .fixedpoints import (
     enumerate_chains,
     enumerate_configurations,
     source_tangent_weight,
-    v4_weights,
 )
 from .contributions import (
     DegenerateNodeError,
-    FactorBundle,
     base_contribution,
     end_contribution,
     node_smoothing,

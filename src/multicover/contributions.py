@@ -2,50 +2,21 @@
 
 Each fixed locus contributes the reciprocal equivariant Euler class of its
 virtual normal bundle, which factors over the components of the broken
-target: the base component (one closed form in the cover degree), each
-bubble map, and a smoothing factor ``1/(w_left + w_right)`` per source node.
+target: the base component, each bubble map, and a smoothing factor
+``1/(w_left + w_right)`` per source node.  README's "How it works" walks
+through the formulas; what the code does not show:
 
-Every bubble map, ruled or end, follows one formula.  For a degree-d map
-with slot exponent x (``k``, or ``h`` for ``MonoH``), q = d - x and
-outgoing exponent out, the main factor is ``w * (1/q)^e * a^e`` with
-e = 3*out - 3d - 1, the divisor-tangent factor at the outgoing node is
-``2a^2`` (``-a^2`` for ``MonoK`` at P0/P1), and the finite
-reparametrization automorphisms scale by 1/q.  The weight w has one of
-three forms:
-
-* ``Family(h, k)``: ``(-1)^(h+k) * sigma / ((d-h)! q!)^2``;
-* ``MonoH`` at P0/P1: ``(-1)^(d + ceil((d+h)/2)) * 2^q * 2^e / (q! q!!)^2``;
-* ``MonoH`` at P2 and every ``MonoK``: ``sign / (q q! (2q)!)``, with sign
-  -1 for ``MonoH`` at P2 and ``MonoK`` at P0, else ``(-1)^(d+k)``.
-
-An end map (out == 1) has no outgoing node, so its divisor-tangent factor
-is 1, and two things change: e = 3 - 3d, and the ``MonoH`` P0/P1 weight
-doubles (2^(q+1)).
-
-A one-parameter family of fixed maps contributes a factor linear in the
-class ``psi``, the first Chern class of the cotangent line at the outgoing
-contact point; its main factor is the coefficient of ``psi``.  On ruled
-rows sigma is the degree-one Chern part of the obstruction bundle,
-h H_h + k (H_k - H_{k-h}) + d (H_d - H_{d-h}) - 3h over the harmonic
-numbers H_n, summed in integers over degree d's table of them
-(:func:`_family_sum`, a pair of ints).  End-bubble families carry the dual
-line (an extra automorphism), so their sigma is -1.
-
-:func:`_factors` writes all of it once, in integers, as one entry
-``(label, n, r, e)`` per factor n/r a^e: ``main`` (on a family
-``main_psi_coeff``, then ``psi_integral``, as psi integrates to -1/(d-h)
-over the one-dimensional locus, so no product of two psi classes arises),
-``divisor_tangent`` on a ruled map, and ``automorphisms`` unless q == 1.
-It takes a row's ``(contact, degree, shape)``, not a :class:`FixedMapKind`,
-and has two readers, neither deriving a factor: :func:`step_factors` makes
-each entry a monomial, for the chain traces and the bundles (all but the
-psi integral), passing its kind's fields, and :func:`_step_coefficient`
-multiplies the integers into one reduced pair of ints for the state sum,
-which reads shapes and builds no kind, so all three agree by construction.
-:func:`ruled_contribution` refuses an end kind, :func:`end_contribution` a
-ruled one.  The product's power of ``a`` is fixed by the kind (3*out - 3d
-+ 1 on a ruled map, 3 - 3d on an end map), so the state sum carries no
-power.
+* :func:`_factors` is the one source of a bubble map's factors.
+  :func:`step_factors` (for the chain traces) and :func:`_step_coefficient`
+  (for the state sum, which builds no kind) only read its integers, so the
+  two agree by construction.
+* On a ruled family, sigma is the degree-one Chern part of the obstruction
+  bundle over the family; an end family carries the dual line (an extra
+  automorphism), so its sigma is -1.  psi, the first Chern class of the
+  cotangent line at the outgoing contact point, integrates to -1/(d-h)
+  over the one-dimensional locus, so no product of two psi classes arises.
+* The product's power of ``a`` is fixed by the kind (3*out - 3d + 1 on a
+  ruled map, 3 - 3d on an end map), so the state sum carries no power.
 """
 
 from __future__ import annotations
@@ -54,8 +25,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from ._record import Record
-from .exact import AlphaMonomial, MONO_ONE
+from .exact import AlphaMonomial
 from .fixedpoints import (
     Contact,
     Family,
@@ -68,7 +38,6 @@ from .fixedpoints import (
 )
 
 __all__ = [
-    "FactorBundle",
     "DegenerateNodeError",
     "base_contribution",
     "ruled_contribution",
@@ -85,24 +54,6 @@ class DegenerateNodeError(ValueError):
     Signals a configuration that sits on the boundary of a family locus and
     must have been excluded from the rigid enumeration.
     """
-
-
-class FactorBundle(Record):
-    """A bubble map's tabulated factors.
-
-    ``main`` is the normal-bundle factor; on ``Family`` rows it is the
-    coefficient of psi, still to be integrated over the family (see
-    :func:`step_factors`).  ``auxiliary`` is the divisor-tangent factor at
-    the outgoing node (unit for end bubbles, which have none);
-    ``automorphism_scale`` is the reciprocal order of the map's finite
-    reparametrization group, 1/q on every row, end rows included.
-    """
-
-    def __init__(self, main: AlphaMonomial, auxiliary: AlphaMonomial, automorphism_scale: Fraction):
-        fields = self.__dict__
-        fields["main"], fields["auxiliary"], fields["automorphism_scale"] = (
-            main, auxiliary, automorphism_scale
-        )
 
 
 def base_contribution(d: int) -> AlphaMonomial:
@@ -151,8 +102,10 @@ def psi_integral(d: int, h: int) -> Fraction:
 
 
 def _factors(c: Contact, d: int, s: Shape) -> list[tuple[str, int, int, int]]:
-    """The listing of the module docstring for the map of shape ``s``, degree d,
-    met at contact c, n/r not reduced and e < 0 on the main factor."""
+    """One entry ``(label, n, r, e)`` per factor n/r a^e of the map of shape ``s``,
+    degree d, met at contact c, by step 2 of README's "How it works": ``main``
+    (a family's ``main_psi_coeff``, then ``psi_integral``), ``divisor_tangent``
+    on a ruled map and ``automorphisms`` unless q == 1; n/r is not reduced."""
     out = _outgoing_exponent(s)
     end, family = out == 1, isinstance(s, Family)
     x = s.h if isinstance(s, MonoH) else s.k
@@ -179,39 +132,26 @@ def _factors(c: Contact, d: int, s: Shape) -> list[tuple[str, int, int, int]]:
     return factors
 
 
-def _bundle(kind: FixedMapKind) -> FactorBundle:
-    """The factors of :func:`step_factors` but a family's psi integral."""
-    f = dict(step_factors(kind))
-    return FactorBundle(
-        f.get("main") or f["main_psi_coeff"],
-        f.get("divisor_tangent", MONO_ONE),
-        f.get("automorphisms", MONO_ONE).coeff,
-    )
-
-
-def ruled_contribution(kind: FixedMapKind) -> FactorBundle:
-    """Tabulated factors for a map to a ruled bubble (one point blown up)."""
-    if kind.is_end_bubble:
-        raise ValueError(f"{kind.describe()} is an end-bubble map")
-    return _bundle(kind)
-
-
-def end_contribution(kind: FixedMapKind) -> FactorBundle:
-    """Tabulated factors for a map to an end bubble (nothing blown up): no
-    divisor-tangent factor, but still the automorphism scale 1/q."""
-    if not kind.is_end_bubble:
-        raise ValueError(f"{kind.describe()} is a ruled-bubble map")
-    return _bundle(kind)
-
-
 @lru_cache(maxsize=None)
 def step_factors(kind: FixedMapKind) -> tuple[tuple[str, AlphaMonomial], ...]:
-    """Labeled multiplicative factors of one bubble step, in the 0-side
-    frame: the entries of :func:`_factors` as monomials, labelled ``main``
-    (or ``main_psi_coeff``, ``psi_integral``), ``divisor_tangent``,
-    ``automorphisms``."""
+    """Labelled multiplicative factors of one bubble step, in the 0-side
+    frame: the entries of :func:`_factors` as monomials."""
     factors = _factors(kind.contact, kind.degree, kind.shape)
     return tuple((label, AlphaMonomial(Fraction(n, r), e)) for label, n, r, e in factors)
+
+
+def ruled_contribution(kind: FixedMapKind) -> tuple[tuple[str, AlphaMonomial], ...]:
+    """:func:`step_factors` of a map to a ruled bubble; an end kind raises."""
+    if kind.is_end_bubble:
+        raise ValueError(f"{kind.describe()} is an end-bubble map")
+    return step_factors(kind)
+
+
+def end_contribution(kind: FixedMapKind) -> tuple[tuple[str, AlphaMonomial], ...]:
+    """:func:`step_factors` of a map to an end bubble; a ruled kind raises."""
+    if not kind.is_end_bubble:
+        raise ValueError(f"{kind.describe()} is a ruled-bubble map")
+    return step_factors(kind)
 
 
 def _step_coefficient(contact: Contact, degree: int, shape: Shape) -> tuple[int, int]:

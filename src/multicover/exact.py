@@ -60,9 +60,6 @@ class AlphaMonomial(Record):
         return f"{self.coeff}*a^{self.power}"
 
 
-MONO_ONE = AlphaMonomial(1)
-
-
 def alpha_flip(x: AlphaMonomial) -> AlphaMonomial:
     """Apply a -> -a: each monomial c*a^k becomes (-1)^k * c * a^k.
 

@@ -14,39 +14,21 @@ coordinate.  The contact point's role in that pattern is what the labels
 occur and where the chain goes next:
 
 * ``Family(h, k)``: both off-contact slots filled, ``m + h == 2k`` -- a
-  one-parameter family of fixed maps (needs the contact at a ``P0``/``P1``
-  coordinate; no family exists at ``P2``).
-* ``MonoH(h)``: only the unit-below slot filled.
+  one-parameter family of fixed maps (none at a ``P2`` contact);
+* ``MonoH(h)``: only the unit-below slot filled;
 * ``MonoK(k)``: only the level slot filled.
 
 A map ramified at its far point (outgoing exponent e >= 2) forces another
 blow-up, so the chain continues with a bubble of degree e; e == 1 ends the
-chain.  The whole row model is one table and one rule:
+chain.  README's "How it works", step 1, walks through the row table and
+its readers.
 
-* ``_ROWS``, keyed by (contact, shape type), gives the next bubble's contact
-  (the chain automaton) and the numerator n of a degree-m bubble's incoming
-  node weight -n / (m - e), e the outgoing exponent of ``_outgoing_exponent``;
-  ``_row_step`` reads it once per row, for the row's node weight and its
-  successor, and every reader of a row's weight or transition goes through it;
-* ``_row_refusal`` says why (contact, m, shape) is not a row, or None; it
-  validates kinds, and ``_step_candidates`` lists once the rows it admits,
-  as ``(shape, w_in, next_state)``: families, then ``MonoH``, then
-  ``MonoK``, each by ascending exponent.  At ``P0``/``P1`` it refuses a
-  ``MonoH`` with ``h == m (mod 2)`` (a limit of the family with
-  ``k == (m+h)/2``) and, unless m == 2, ``MonoK(1)``.
-
-A row is a shape, not a :class:`FixedMapKind`: the state table of
-:mod:`localize` reads (contact, m, shape) and builds no kind, and a kind is
-built, by its one checking constructor, only where a caller receives one.
-
-A row whose attaching node has zero smoothing weight is the broken limit
-of a family locus (the node deformation is the family direction), whose
-integral counts it.  Both readers of :func:`_step_candidates` drop it: the
-chain walker :func:`enumerate_chains` (and :class:`Chain`) as a row whose
-``w_in``, a reduced pair of ints like every row weight, equals the far
-weight negated, and the state table of :mod:`localize` as a zero
-denominator in a state's sum.  The walk goes first in, first out, so chains
-leave it in the published order, by number of steps and then row by row.
+Two rows are excluded for a reason the code does not show.  At ``P0``/``P1``
+a ``MonoH`` with ``h == m (mod 2)`` is a limit of the family with
+``k == (m+h)/2``, which counts it.  A row whose attaching node has zero
+smoothing weight is the broken limit of a family locus (the node
+deformation is the family direction), whose integral counts it too: the
+chain walker drops it, and so does the state sum of :mod:`localize`.
 """
 
 from __future__ import annotations
@@ -70,7 +52,6 @@ __all__ = [
     "UnsupportedDegreeError",
     "InvalidKindError",
     "Shape",
-    "v4_weights",
     "source_tangent_weight",
     "base_tangent_weight",
     "transition",
@@ -130,7 +111,7 @@ class MonoK(Record):
 Shape = Family | MonoH | MonoK
 
 
-# (contact, shape type) -> (next bubble's contact, speed numerator n), as in the module docstring
+# (contact, shape type) -> (next bubble's contact, numerator n of the incoming weight -n / (m - e))
 _ROWS = {
     (Contact.P0, Family): (Contact.P1, 2),
     (Contact.P1, Family): (Contact.P0, -2),
@@ -217,27 +198,10 @@ class FixedMapKind(Record):
         return f"{self.contact.name}:d={self.degree}:{body}:{tag}"
 
 
-def v4_weights(kind: FixedMapKind) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-    """Weights of the torus action on the bubble's four coordinates, as
-    rational multiples of the equivariant parameter, in tabulated order.
-    With x = ``h`` on ``MonoH``, else ``k`` (a family has h = 2k - d), they
-    are one P0 and one P2 form over q = d - x per class, ``MonoH`` or not;
-    a P1 bubble carries its P0 twin's weights negated."""
-    d, s, c = kind.degree, kind.shape, kind.contact
-    x = s.h if isinstance(s, MonoH) else s.k
-    if isinstance(s, MonoH):
-        w = (-d, -x, x - 2 * d) if c is Contact.P2 else (2 * d, 2 * x, x + d)
-    else:
-        w = (d, 2 * d - x, x) if c is Contact.P2 else (d, 2 * x - d, x)
-    sign = -1 if c is Contact.P1 else 1
-    return (*(Fraction(sign * n, d - x) for n in w), Fraction(0))
-
-
 def source_tangent_weight(kind: FixedMapKind) -> Fraction:
     """Tangent weight of the source curve at its incoming node, in units of the
     equivariant parameter: the ``w_in`` pair of :func:`_row_step` as a
-    ``Fraction``.  The outgoing node's weight is its negative, which equals
-    w0 / d for w0 the first of :func:`v4_weights`."""
+    ``Fraction``.  The outgoing node's weight is its negative."""
     return Fraction(*_row_step(kind.contact, kind.degree, kind.shape)[0])
 
 

@@ -1,53 +1,21 @@
 """Assembly of per-configuration contributions and the final invariants.
 
 A configuration's contribution is the product of the base factor, every
-chain step's factors, and a smoothing factor per node, with the whole
-infinity side evaluated in the 0-side frame and then flipped a -> -a.
-A step's factors come from :func:`contributions.step_factors`, which
-integrates a family step's psi coefficient on the spot, so the running
-product stays a single monomial and any number of family steps per chain
-is handled; the state sum takes the coefficient of their product from
-:func:`contributions._step_coefficient`.  Both read the one integer
-listing of a bubble map's factors, :func:`contributions._factors`, so they
-agree by construction, and a row's factor has a single source.
+chain step's factors and a smoothing factor per node, with the infinity
+side evaluated in the 0-side frame and then flipped a -> -a.  Every
+configuration multiplies out to a degree-zero monomial, and the invariant
+is their exact sum.  Because the factors are side-local, that sum is
+base * S * flip(S) with S the one-sided sum; because a step's factors
+depend only on its row and the incoming node weight, S is a sum over the
+(contact, degree, weight) states of the chain automaton, kept in
+:data:`_TABLE`.  That state sum, in integers, is the one evaluation path;
+README's "How it works", step 3, walks through it.
 
-Every configuration multiplies out to a degree-zero monomial -- a pure
-number -- and the invariant is their exact sum.  Because the factors are
-side-local, that sum equals base * S * flip(S) with S the one-sided sum,
-and because a step's factors depend only on its (contact, degree, shape)
-and the incoming node weight, S is a sum over the (contact, degree,
-weight) states of the chain automaton: the default path, polynomial in
-d.  The states live in one explicit table, :data:`_TABLE`, kept across
-degrees.  :func:`_fill_table` builds its bubble records (contact, m) in
-increasing m, every bubble below d and then the root (P0, d), so a row's
-tail is a state of a lower bubble that is already built, and no
-evaluation recurses.  Only a row's node smoothing 1/(w + w_in) depends on
-the incoming weight w, so a bubble's record holds each row's coefficient
-times its tail sum, built once, over one common denominator, as
-integers: the coefficient's pair from
-:func:`contributions._step_coefficient`, read from the row's shape,
-times the tail's pair, cross-reduced; a state's weight is the row's
-reduced pair (p, q).  A state's sum is stored in its bubble's record the
-first time a row or the root asks for it: it adds the row products over
-small integer smoothing denominators, reduced by one gcd to a pair
-(numerator, denominator) of ints, and drops a row whose denominator is
-zero.  No ``Fraction`` is built per row or state, and no
-:class:`fixedpoints.FixedMapKind` at all; the root's pair becomes the
-one that :func:`side_sum` returns.  Building every bubble below d also
-builds some that the root does not reach, such as (P0, d - 1), so a cold
-degree 10 holds 157 states where 146 are reached.  The state sum carries
-no power of ``a``: a row's power is fixed by its shape and degree, so
-every degree-m state's sum has power 2 - 3m by construction.
-
-Chains are enumerated one by one, by :func:`fixedpoints.enumerate_chains`,
-only for ``--breakdown``, the per-configuration API and the test oracles.
-A caller traces each chain once, from :func:`chain_factors` and not from
-the table, and keeps nothing once it returns.  The trace's powers of ``a``
-are summed and checked, the one power checked at run time: 2 - 3d, or the
-error names the chain.  Its coefficients multiply into the two sides'
-coefficients, so a configuration costs one product of two numbers, and a
-side's labelled trace, the zero side led by the base factor and the
-infinity side flipped a -> -a, is built only when a caller reads it.
+The state sum carries no power of ``a``: a row's power is fixed by its
+shape and degree, so every degree-m state's sum has power 2 - 3m.  The one
+power checked at run time is a traced chain's, in :func:`_chain_record`;
+chains are traced only for ``--breakdown``, the per-configuration API and
+the test oracles.
 """
 
 from __future__ import annotations

@@ -7,7 +7,9 @@ Each oracle reaches a value of the library by a second route:
 * :func:`monomial_state_sum`, a one-sided state sum in monomial
   arithmetic;
 * :func:`walk_rows`, the chains by a walk written here;
-* :func:`family_sum_loop`, a family's sigma term by term.
+* :func:`family_sum_loop`, a family's sigma term by term;
+* :func:`v4_weights`, a bubble's four torus weights, against which
+  :func:`assert_weights_agree` checks every row's node weight.
 
 What each still shares with the library is the table ``SHARES`` in
 ``tests/test_oracles.py``, which a test checks against the code below.
@@ -29,7 +31,7 @@ from multicover.contributions import (
     node_smoothing,
     step_factors,
 )
-from multicover.exact import MONO_ONE, AlphaMonomial
+from multicover.exact import AlphaMonomial
 from multicover.fixedpoints import (
     Chain,
     Contact,
@@ -41,7 +43,6 @@ from multicover.fixedpoints import (
     base_tangent_weight,
     enumerate_chains,
     source_tangent_weight,
-    v4_weights,
 )
 from multicover.localize import multiple_cover_invariant, side_sum
 
@@ -53,7 +54,7 @@ def mono(c, p=0):
 
 
 def product(factors):
-    out = MONO_ONE
+    out = AlphaMonomial(1)
     for f in factors:
         out = out * f
     return out
@@ -120,6 +121,31 @@ def family_sum_loop(d, h, k):
     for i in range(h):
         total += F(i, h - i) + F(i, k - i) + F(i, d - i)
     return total
+
+
+def v4_weights(kind):
+    """Weights of the torus action on the bubble's four coordinates, as
+    rational multiples of the equivariant parameter, in tabulated order.
+    With x = ``h`` on ``MonoH``, else ``k`` (a family has h = 2k - d), they
+    are one P0 and one P2 form over q = d - x per class, ``MonoH`` or not;
+    a P1 bubble carries its P0 twin's weights negated."""
+    d, s, c = kind.degree, kind.shape, kind.contact
+    x = s.h if isinstance(s, MonoH) else s.k
+    if isinstance(s, MonoH):
+        w = (-d, -x, x - 2 * d) if c is Contact.P2 else (2 * d, 2 * x, x + d)
+    else:
+        w = (d, 2 * d - x, x) if c is Contact.P2 else (d, 2 * x - d, x)
+    sign = -1 if c is Contact.P1 else 1
+    return (*(F(sign * n, d - x) for n in w), F(0))
+
+
+def step_parts(factors):
+    """``(main, divisor_tangent, automorphism scale)`` of a step's labelled
+    factors: a family's main is its ``main_psi_coeff``, an absent entry is
+    ``AlphaMonomial(1)`` and the scale is the ``automorphisms`` coefficient."""
+    f, one = dict(factors), AlphaMonomial(1)
+    main = f["main"] if "main" in f else f["main_psi_coeff"]
+    return main, f.get("divisor_tangent", one), f.get("automorphisms", one).coeff
 
 
 def all_kinds(max_degree):
@@ -267,7 +293,9 @@ def assert_state_count(d):
 def assert_value_structure(degrees):
     """For each d, N_d's denominator has no prime factor above 3d and
     -d*N_d is the square of a rational; tier-1 takes d = 2..40, CI the rest
-    of the plain cap."""
+    of the plain cap.  The square half holds by construction, as N_d is
+    base * S * flip(S), so it guards only that assembly; the smoothness half
+    is the one a wrong row factor can fail.  Both are kept."""
     for d in degrees:
         value = multiple_cover_invariant(d)
         assert _is_smooth(value.denominator, 3 * d), d

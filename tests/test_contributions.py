@@ -13,8 +13,9 @@ from multicover.contributions import (
     node_smoothing,
     psi_integral,
     ruled_contribution,
+    step_factors,
 )
-from multicover.exact import MONO_ONE, AlphaMonomial
+from multicover.exact import AlphaMonomial
 from multicover.fixedpoints import (
     Contact,
     Family,
@@ -25,9 +26,10 @@ from multicover.fixedpoints import (
     base_tangent_weight,
     source_tangent_weight,
 )
-from oracles import all_kinds, family_sum_loop, mono
+from oracles import all_kinds, family_sum_loop, mono, step_parts
 
 F = Fraction
+ONE = AlphaMonomial(1)
 
 
 # -- base component ------------------------------------------------------------
@@ -62,25 +64,25 @@ def test_base_power_and_sign():
 
 def test_ruled_monok_value():
     # d - k = 1 pattern shared by the degree-2 short map
-    bundle = ruled_contribution(FixedMapKind(Contact.P0, 3, MonoK(2)))
-    assert bundle.main == mono((-1, 2), -4)
-    assert bundle.auxiliary == mono(-1, 2)
-    assert bundle.automorphism_scale == 1
+    main, tangent, scale = step_parts(ruled_contribution(FixedMapKind(Contact.P0, 3, MonoK(2))))
+    assert main == mono((-1, 2), -4)
+    assert tangent == mono(-1, 2)
+    assert scale == 1
 
 
 def test_ruled_monoh_value():
-    bundle = ruled_contribution(FixedMapKind(Contact.P0, 4, MonoH(3)))
-    assert bundle.main == mono((1, 8), -4)
-    assert bundle.auxiliary == mono(2, 2)
-    assert bundle.automorphism_scale == 1
+    main, tangent, scale = step_parts(ruled_contribution(FixedMapKind(Contact.P0, 4, MonoH(3))))
+    assert main == mono((1, 8), -4)
+    assert tangent == mono(2, 2)
+    assert scale == 1
 
 
 def test_ruled_family_psi_coefficient():
-    bundle = ruled_contribution(FixedMapKind(Contact.P0, 4, Family(2, 3)))
+    main, tangent, scale = step_parts(ruled_contribution(FixedMapKind(Contact.P0, 4, Family(2, 3))))
     # sum over i=1: 1/(2-1) + 1/(3-1) + 1/(4-1) = 11/6
-    assert bundle.main == AlphaMonomial(-F(1, 4) * F(11, 6), -7)
-    assert bundle.auxiliary == mono(2, 2)
-    assert bundle.automorphism_scale == F(1, 1)
+    assert main == AlphaMonomial(-F(1, 4) * F(11, 6), -7)
+    assert tangent == mono(2, 2)
+    assert scale == F(1, 1)
 
 
 def test_family_sum_closed_form_matches_loop():
@@ -93,17 +95,17 @@ def test_family_sum_closed_form_matches_loop():
 
 
 def test_ruled_monok_scale():
-    bundle = ruled_contribution(FixedMapKind(Contact.P0, 4, MonoK(2)))
-    assert bundle.automorphism_scale == F(1, 2)
+    main, _, scale = step_parts(ruled_contribution(FixedMapKind(Contact.P0, 4, MonoK(2))))
+    assert scale == F(1, 2)
     # (-1/2) * 1/(2! 4!) * (1/2)^(-7)
-    assert bundle.main == mono((-4, 3), -7)
+    assert main == mono((-4, 3), -7)
 
 
 @pytest.mark.parametrize(
     "d, shape", [(2, MonoK(1)), (2, MonoH(1)), (3, Family(1, 2))], ids=["MonoK", "MonoH", "Family"]
 )
 def test_ruled_refuses_end_kind(d, shape):
-    # an end map has no outgoing node, so it has no ruled bundle
+    # an end map has no outgoing node, so it has no ruled factors
     kind = FixedMapKind(Contact.P0, d, shape)
     with pytest.raises(ValueError) as excinfo:
         ruled_contribution(kind)
@@ -112,40 +114,51 @@ def test_ruled_refuses_end_kind(d, shape):
 
 def test_p2_rows_keep_positive_divisor_tangent():
     for shape in (MonoH(2), MonoK(2)):
-        bundle = ruled_contribution(FixedMapKind(Contact.P2, 4, shape))
-        assert bundle.auxiliary == mono(2, 2)
+        assert dict(ruled_contribution(FixedMapKind(Contact.P2, 4, shape)))["divisor_tangent"] == mono(2, 2)
 
 
 # -- end rows --------------------------------------------------------------------
 
 def test_end_short_maps_double_cover():
-    assert end_contribution(FixedMapKind(Contact.P0, 2, MonoK(1))).main == mono((-1, 2), -3)
-    assert end_contribution(FixedMapKind(Contact.P0, 2, MonoH(1))).main == mono((1, 2), -3)
-    assert end_contribution(FixedMapKind(Contact.P1, 2, MonoK(1))).main == mono((-1, 2), -3)
+    assert dict(end_contribution(FixedMapKind(Contact.P0, 2, MonoK(1))))["main"] == mono((-1, 2), -3)
+    assert dict(end_contribution(FixedMapKind(Contact.P0, 2, MonoH(1))))["main"] == mono((1, 2), -3)
+    assert dict(end_contribution(FixedMapKind(Contact.P1, 2, MonoK(1))))["main"] == mono((-1, 2), -3)
 
 
 def test_end_p2_monok_value():
-    bundle = end_contribution(FixedMapKind(Contact.P2, 3, MonoK(1)))
-    assert bundle.main == mono((2, 3), -6)
-    assert bundle.automorphism_scale == F(1, 2)
+    main, _, scale = step_parts(end_contribution(FixedMapKind(Contact.P2, 3, MonoK(1))))
+    assert main == mono((2, 3), -6)
+    assert scale == F(1, 2)
 
 
 def test_end_p2_monoh_value():
-    bundle = end_contribution(FixedMapKind(Contact.P2, 2, MonoH(1)))
-    assert bundle.main == mono((-1, 2), -3)
+    assert dict(end_contribution(FixedMapKind(Contact.P2, 2, MonoH(1))))["main"] == mono((-1, 2), -3)
 
 
 def test_end_family_is_pure_psi():
-    bundle = end_contribution(FixedMapKind(Contact.P0, 3, Family(1, 2)))
-    assert bundle.main == mono((1, 4), -6)  # minus the (-1)^(k+1) prefactor
-    assert bundle.automorphism_scale == F(1, 1)
-    deeper = end_contribution(FixedMapKind(Contact.P1, 5, Family(1, 3)))
-    assert deeper.automorphism_scale == F(1, 2)
+    main, _, scale = step_parts(end_contribution(FixedMapKind(Contact.P0, 3, Family(1, 2))))
+    assert main == mono((1, 4), -6)  # minus the (-1)^(k+1) prefactor
+    assert scale == F(1, 1)
+    _, _, deeper = step_parts(end_contribution(FixedMapKind(Contact.P1, 5, Family(1, 3))))
+    assert deeper == F(1, 2)
 
 
 def test_end_rejects_ruled_kind():
     with pytest.raises(ValueError):
         end_contribution(FixedMapKind(Contact.P0, 4, MonoK(2)))
+
+
+def test_ruled_and_end_contribution_are_step_factors():
+    # each returns step_factors(kind) itself, and refuses the other kind by name
+    for kind in all_kinds(8):
+        if kind.is_end_bubble:
+            accept, refuse, text = end_contribution, ruled_contribution, "an end-bubble map"
+        else:
+            accept, refuse, text = ruled_contribution, end_contribution, "a ruled-bubble map"
+        assert accept(kind) == step_factors(kind), kind
+        with pytest.raises(ValueError) as excinfo:
+            refuse(kind)
+        assert str(excinfo.value) == f"{kind.describe()} is {text}"
 
 
 @pytest.mark.parametrize(
@@ -156,8 +169,8 @@ def test_end_rejects_ruled_kind():
         (ruled_contribution, Contact.P1, 5, MonoK(3), mono((4, 3), -7), mono(-1, 2), F(1, 2)),
         (ruled_contribution, Contact.P2, 5, MonoH(3), mono((-4, 3), -7), mono(2, 2), F(1, 2)),
         (ruled_contribution, Contact.P2, 5, MonoK(3), mono((4, 3), -7), mono(2, 2), F(1, 2)),
-        (end_contribution, Contact.P1, 4, MonoH(1), mono((-243, 128), -9), MONO_ONE, F(1, 3)),
-        (end_contribution, Contact.P1, 5, Family(1, 3), mono((-16, 9), -12), MONO_ONE, F(1, 2)),
+        (end_contribution, Contact.P1, 4, MonoH(1), mono((-243, 128), -9), ONE, F(1, 3)),
+        (end_contribution, Contact.P1, 5, Family(1, 3), mono((-16, 9), -12), ONE, F(1, 2)),
     ],
     ids=[
         "ruled-P1-Family",
@@ -170,8 +183,7 @@ def test_end_rejects_ruled_kind():
     ],
 )
 def test_row_bundle_pins(evaluate, contact, d, shape, main, auxiliary, scale):
-    bundle = evaluate(FixedMapKind(contact, d, shape))
-    assert (bundle.main, bundle.auxiliary, bundle.automorphism_scale) == (main, auxiliary, scale)
+    assert step_parts(evaluate(FixedMapKind(contact, d, shape))) == (main, auxiliary, scale)
 
 
 def test_main_power_matches_tabulated_exponent():
@@ -179,12 +191,12 @@ def test_main_power_matches_tabulated_exponent():
         d = kind.degree
         if kind.is_end_bubble:
             expected = 3 - 3 * d
-            main = end_contribution(kind).main
+            main = step_parts(end_contribution(kind))[0]
         else:
             s = kind.shape
             exp = s.k if isinstance(s, MonoK) else s.h
             expected = 3 * exp - 3 * d - 1
-            main = ruled_contribution(kind).main
+            main = step_parts(ruled_contribution(kind))[0]
         assert main.power == expected, kind.describe()
 
 
@@ -248,7 +260,7 @@ def test_double_cover_side_assembly():
     for shape, main in ((MonoK(1), mono((-1, 2), -3)), (MonoH(1), mono((1, 2), -3))):
         kind = FixedMapKind(Contact.P0, 2, shape)
         w = source_tangent_weight(kind)
-        assert end_contribution(kind).main == main
+        assert dict(end_contribution(kind))["main"] == main
         term = node_smoothing(base, w) * main
         assert term.power == -4
         total += term.coeff

@@ -27,9 +27,8 @@ from multicover.fixedpoints import (
     enumerate_configurations,
     source_tangent_weight,
     transition,
-    v4_weights,
 )
-from oracles import all_kinds, assert_chain_digests, assert_weights_agree, walk_rows
+from oracles import all_kinds, assert_chain_digests, assert_weights_agree, v4_weights, walk_rows
 
 F = Fraction
 SRC = str(Path(multicover.__file__).resolve().parents[1])
@@ -52,7 +51,7 @@ def test_v4_weights_monoh_at_p2():
 
 
 # sha256 over the lines f"{kind.describe()}\t{w0} {w1} {w2} {w3}\n" of
-# v4_weights, for every row of _step_candidates with m = 2..39, in listing order
+# oracles.v4_weights, for every row of _step_candidates with m = 2..39, in listing order
 WEIGHTS_DIGEST = "1605882f26a7f1807409dbac287d9d9a7df9bf4a49becce25141d01c4a5177bf"
 
 

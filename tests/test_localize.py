@@ -47,6 +47,7 @@ from oracles import (
     mono,
     pairwise_invariant,
     product,
+    step_parts,
 )
 
 F = Fraction
@@ -242,11 +243,10 @@ def test_step_factors_match_bundles_and_chain_traces():
             for shape, _, _ in _step_candidates(contact, m):
                 kind = FixedMapKind(contact, m, shape)
                 evaluate = end_contribution if kind.is_end_bubble else ruled_contribution
-                bundle = evaluate(kind)
-                main = bundle.main
+                main, tangent, scale = step_parts(evaluate(kind))
                 if isinstance(kind.shape, Family):
                     main = main * psi_integral(kind.degree, kind.shape.h)
-                expected = main * bundle.auxiliary * bundle.automorphism_scale
+                expected = main * tangent * scale
                 assert product(f for _, f in step_factors(kind)) == expected
         for chain in enumerate_chains(m):
             trace = chain_factors(chain)

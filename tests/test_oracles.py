@@ -22,7 +22,6 @@ SHARES = {
         "multicover.contributions.node_smoothing",
         "multicover.contributions.step_factors",
         "multicover.exact.AlphaMonomial",
-        "multicover.exact.MONO_ONE",
         "multicover.fixedpoints.FixedMapKind",
         "multicover.fixedpoints._step_candidates",
     },
@@ -34,6 +33,10 @@ SHARES = {
         "multicover.fixedpoints.base_tangent_weight",
     },
     "family_sum_loop": set(),
+    "v4_weights": {
+        "multicover.fixedpoints.Contact",
+        "multicover.fixedpoints.MonoH",
+    },
     "assert_state_denominators": {
         "multicover.localize._TABLE",
         "multicover.localize.multiple_cover_invariant",

@@ -7,7 +7,6 @@ import pytest
 
 from multicover._record import Record
 from multicover.cli import ReferenceTable
-from multicover.contributions import FactorBundle
 from multicover.exact import AlphaMonomial, FactoredRational
 from multicover.fixedpoints import (
     Chain,
@@ -50,13 +49,6 @@ CASES = [
     (FixedMapKind, (Contact.P0, 2, MonoK(1)), ("contact", "degree", "shape"), END_REPR),
     (Chain, ((END,),), ("steps",), CHAIN_REPR),
     (Configuration, (2, CHAIN, CHAIN), ("cover_degree", "chain_zero", "chain_infinity"), CONFIG_REPR),
-    (
-        FactorBundle,
-        (AlphaMonomial(F(-11, 24), -7), AlphaMonomial(2, 2), F(1)),
-        ("main", "auxiliary", "automorphism_scale"),
-        "FactorBundle(main=AlphaMonomial(coeff=Fraction(-11, 24), power=-7), "
-        "auxiliary=AlphaMonomial(coeff=Fraction(2, 1), power=2), automorphism_scale=Fraction(1, 1))",
-    ),
     (
         ConfigurationReport,
         (CONFIG, (("base", AlphaMonomial(1)),), AlphaMonomial(F(-1, 32))),
