@@ -173,16 +173,20 @@ def _affine(points: list, n: int):
     return xs[::-1]
 
 
-def _stage1(b1: int) -> tuple:
-    """The largest powers <= b1 of the primes <= b1, ascending, and their
-    product."""
-    powers = []
+def _stage1(b1: int) -> list:
+    """Stage 1's multiplier, the product of the largest powers <= b1 of the
+    primes <= b1, as ascending block products split where the primes pass
+    64, 256, 1024, ... (64*4^i): a curve takes one gcd per block."""
+    blocks, edge = [[]], 64
     for p in itertools.compress(range(b1 + 1), _sieve(b1 + 1)):
+        if p > edge:  # Bertrand: every (edge, 4*edge] holds a prime
+            blocks.append([])
+            edge *= 4
         q = p
         while q * p <= b1:
             q *= p
-        powers.append(q)
-    return powers, math.prod(powers)
+        blocks[-1].append(q)
+    return list(map(math.prod, blocks))
 
 
 _ECM_D = 2310  # stage-2 giant-step width 2*3*5*7*11; baby steps are odd j < D/2
@@ -252,52 +256,48 @@ def _stage2(x: int, a24: int, level: tuple, n: int) -> int:
     return acc
 
 
-def _ecm_bounds():
-    """Stage-1 bound B1 for each successive curve."""
-    for b1, curves in ((2000, 25), (11000, 90), (50000, 300), (250000, 700)):
-        yield from itertools.repeat(b1, curves)
-    yield from itertools.repeat(1_000_000)
+# (B1, curves) for the successive ECM levels; None repeats that level without end
+_ECM_LEVELS = ((2000, 25), (11000, 90), (50000, 300), (250000, 700), (1_000_000, None))
 
 
 def _ecm(n: int) -> int:
     """Return a nontrivial factor of n: composite, odd, not a perfect power.
 
-    Curves use Suyama's parametrization, so every group order is divisible
-    by 12, and for primes below ~24000 stage 1 kills the point modulo every
-    prime of n at once: the gcd is n itself.  Stage 1 is then replayed one
-    prime power at a time, which separates the primes unless their points
-    die at the same step; a curve that still gives n is dropped.
+    Each curve walks stage 1 once, block by block (``_stage1``), and stops
+    at the first block whose gcd is above 1; stage 2 runs only when every
+    block gave 1.  Suyama curves have group orders divisible by 12, so for
+    primes below ~24000 stage 1 kills the point modulo every prime of n,
+    and only the blocks they die in separate them.  A gcd of n is no
+    factor, and parting its primes would mean walking the block again, so
+    that curve is dropped.
     """
     import random  # not at the top: every command would pay for it at start-up
 
-    rng, built = random.Random(n), None  # the curves are deterministic per input
-    for b1 in _ecm_bounds():
-        if b1 != built:  # this call's tables for the level, dropped with it
-            built, (powers, k), level = b1, _stage1(b1), None
-        sigma = rng.randrange(6, n - 1)
-        u, v = (sigma * sigma - 5) % n, 4 * sigma % n
-        x, z = pow(u, 3, n), pow(v, 3, n)
-        den = 16 * x * v * z % n  # 16 u^3 v^4: one inversion for a24 and x
-        g = math.gcd(den, n)
-        if g == 1:
-            inv = pow(den, -1, n)
-            a24 = pow(v - u, 3, n) * (3 * u + v) * z * inv % n
-            x = 16 * x * x * v * inv % n  # u^3 / v^3
-            xk, zk = _ladder(k, x, a24, n)
-            g = math.gcd(zk, n)
+    rng = random.Random(n)  # the curves are deterministic per input
+    for b1, curves in _ECM_LEVELS:
+        blocks, level = _stage1(b1), None  # this call's tables for the level, dropped with it
+        for _ in itertools.count() if curves is None else range(curves):
+            sigma = rng.randrange(6, n - 1)
+            u, v = (sigma * sigma - 5) % n, 4 * sigma % n
+            x, z = pow(u, 3, n), pow(v, 3, n)
+            den = 16 * x * v * z % n  # 16 u^3 v^4: one inversion for a24 and x
+            g = math.gcd(den, n)
             if g == 1:
-                if level is None:  # the level's masks, once a curve there reaches stage 2
-                    level = _stage2_masks(b1)
-                g = math.gcd(_stage2(xk * pow(zk, -1, n) % n, a24, level, n), n)
-            elif g == n:
-                for q in powers:
-                    xk, zk = _ladder(q, x, a24, n)
+                inv = pow(den, -1, n)
+                a24 = pow(v - u, 3, n) * (3 * u + v) * z * inv % n
+                x = 16 * x * x * v * inv % n  # u^3 / v^3
+                for k in blocks:
+                    xk, zk = _ladder(k, x, a24, n)
                     g = math.gcd(zk, n)
                     if g > 1:
                         break
                     x = xk * pow(zk, -1, n) % n
-        if 1 < g < n:
-            return g
+                else:
+                    if level is None:  # the level's masks, once a curve there reaches stage 2
+                        level = _stage2_masks(b1)
+                    g = math.gcd(_stage2(x, a24, level, n), n)
+            if 1 < g < n:
+                return g
 
 
 def _int_nth_root(n: int, e: int) -> int:
@@ -336,9 +336,11 @@ def factorize(n: int) -> list:
     (cofactor, multiplicity k) pairs: Miller-Rabin tests each, a prime adds k
     to its exponent, a perfect power root**e returns as (root, k*e), and
     Lenstra's elliptic-curve method (ECM) splits the rest in two.  An ECM
-    curve runs stage 1 to B1, then a stage 2 that pairs the primes in
-    (B1, 100*B1] as m*2310 +- j at one product per pair; which pairs hold a
-    prime is sieved once per level and freed when the ECM call leaves it.
+    curve walks stage 1 to B1 once, in blocks of primes with a gcd after
+    each, and only a curve whose blocks all give gcd 1 runs a stage 2 that
+    pairs the primes in (B1, 100*B1] as m*2310 +- j at one product per
+    pair; which pairs hold a prime is sieved once per level and freed when
+    the ECM call leaves it.
     ECM's cost grows subexponentially with the second-largest prime factor
     of a cofactor, not with its size: the d = 11 invariant's 438938983141369
     (~4.4e14) splits off in about 0.4 s (27 curves, on one core of a shared

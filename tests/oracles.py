@@ -244,9 +244,9 @@ def assert_factorize_frees(bounds):
     still held, so the level's tables (its masks alone are 0.29 MB at
     B1 = 11000, 6.6 MB at 250000) do not outlive the call; tier-1 takes
     B1 = 11000, CI 250000."""
-    root, ecm_bounds = 438938983141369 * 180676454678820675709, exact._ecm_bounds
+    root, levels = 438938983141369 * 180676454678820675709, exact._ECM_LEVELS
     for b1 in bounds:
-        exact._ecm_bounds = lambda: iter([b1])
+        exact._ECM_LEVELS = ((b1, 1),)
         tracemalloc.start()
         try:
             exact._ecm(root)
@@ -254,7 +254,7 @@ def assert_factorize_frees(bounds):
             held, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-            exact._ecm_bounds = ecm_bounds
+            exact._ECM_LEVELS = levels
         assert held < 64 * 1024, (b1, held)
 
 

@@ -1,6 +1,6 @@
 """Scalar arithmetic and the factored text format."""
 
-import itertools
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -174,10 +174,17 @@ def test_factorize_composite_powers():
 
 
 # Suyama curves have group orders divisible by 12, so for primes below
-# ~24000 every curve finds all primes of n at once (gcd == n); the first two
-# inputs terminate only through the stage-1 replay.  65537*1000003 gives n
-# on most curves, and the last three are cofactors that the factored
-# output of N_8, N_10 and N_11 has to split.
+# ~24000 stage 1 kills the point modulo every prime of n: the first two
+# inputs, and the seeded products of two and of three primes in
+# (10^4, 3*10^4), terminate only where a curve's points die in different
+# blocks of stage 1.  65537*1000003 gives n on most curves, and the last
+# three are cofactors that the factored output of N_8, N_10 and N_11 has
+# to split.
+_SMALL_PRIMES = [p for p in range(10_001, 30_000, 2) if is_prime(p)]
+_SEEDED_RNG = random.Random(42)
+_SEEDED = [dict.fromkeys(_SEEDED_RNG.sample(_SMALL_PRIMES, k), 1) for k in (2, 2, 2, 3, 3, 3)]
+
+
 @pytest.mark.parametrize(
     "primes",
     [
@@ -189,8 +196,10 @@ def test_factorize_composite_powers():
         {19: 2, 61: 2, 79377601: 2, 58524074773: 2, 70797734099: 2},
         # numerator of N_11
         {17: 2, 438938983141369: 2, 180676454678820675709: 2},
+        *_SEEDED,
     ],
-    ids=["10007*10009", "five-near-10^4", "65537*1000003", "d8-root", "d10", "d11"],
+    ids=["10007*10009", "five-near-10^4", "65537*1000003", "d8-root", "d10", "d11"]
+    + [f"seeded-{len(primes)}-primes-{i}" for i, primes in enumerate(_SEEDED)],
 )
 def test_factorize_terminates_exactly(primes):
     assert factorize(math.prod(p**e for p, e in primes.items())) == sorted(primes.items())
@@ -205,7 +214,7 @@ def test_segment_sieve_is_exact_across_its_range():
     # Stage 2 sieves below 100*B1 + 2*D: its last giant step m*D is below
     # 100*B1 + D and its baby steps reach D/2 past it.  The sieve by
     # _TRIAL_PRIMES is exact only below 10007**2.
-    b1 = max(itertools.islice(exact._ecm_bounds(), 10_000))
+    b1 = max(b1 for b1, _ in exact._ECM_LEVELS)
     assert 100 * b1 + exact._ECM_D // 2 < 10007**2
     top = 100 * b1 + 2 * exact._ECM_D
     assert top <= 10007**2
@@ -231,7 +240,7 @@ STAGE2_P = 10189369859
 
 
 def test_stage2_finds_what_stage1_misses(monkeypatch):
-    monkeypatch.setattr(exact, "_ecm_bounds", lambda: iter([2000]))
+    monkeypatch.setattr(exact, "_ECM_LEVELS", ((2000, 1),))
     assert exact._ecm(STAGE2_N) == STAGE2_P
     monkeypatch.setattr(exact, "_stage2", lambda *args: 1)
     assert exact._ecm(STAGE2_N) is None
@@ -273,7 +282,7 @@ def test_stage2_sieves_once_per_level(monkeypatch):
     calls = []
     segment = exact._segment
     monkeypatch.setattr(exact, "_segment", lambda lo, hi: calls.append(lo) or segment(lo, hi))
-    monkeypatch.setattr(exact, "_ecm_bounds", lambda: iter([2000] * 3))
+    monkeypatch.setattr(exact, "_ECM_LEVELS", ((2000, 3),))
     assert exact._ecm(root) is None
     assert len(calls) == 1
     assert exact._ecm(root) is None
@@ -292,6 +301,16 @@ def test_stage1_split_builds_no_stage2_masks(monkeypatch):
 
 def test_ecm_frees_its_level_tables():
     assert_factorize_frees([11000])
+
+
+# sha256 of the factored text of N_2..N_13, one line per degree; it pins the
+# text of d = 10..13 where the sympy comparison below is skipped
+FACTORED_DIGEST = "2e6b7b49677515956e347154b533ec5ba9e6cbc08bfb397e28204da21c196a04"
+
+
+def test_factored_invariants_digest():
+    text = "\n".join(format_factored(multiple_cover_invariant(d)) for d in range(2, 14))
+    assert hashlib.sha256(text.encode()).hexdigest() == FACTORED_DIGEST
 
 
 def test_factorize_matches_sympy_on_invariants():

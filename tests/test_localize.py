@@ -9,18 +9,12 @@ import pytest
 
 from multicover import localize
 from multicover.cli import _print_breakdown
-from multicover.contributions import (
-    base_contribution,
-    end_contribution,
-    psi_integral,
-    ruled_contribution,
-)
+from multicover.contributions import base_contribution, psi_integral
 from multicover.exact import AlphaMonomial, alpha_flip
 from multicover.fixedpoints import (
     Chain,
     Configuration,
     Contact,
-    Family,
     FixedMapKind,
     MonoK,
     UnsupportedDegreeError,
@@ -47,7 +41,6 @@ from oracles import (
     mono,
     pairwise_invariant,
     product,
-    step_parts,
 )
 
 F = Fraction
@@ -237,17 +230,8 @@ def test_values_beyond_the_table_match_frozen():
         assert multiple_cover_invariant(d) == value, d
 
 
-def test_step_factors_match_bundles_and_chain_traces():
+def test_step_factors_match_chain_traces():
     for m in range(2, 7):
-        for contact in Contact:
-            for shape, _, _ in _step_candidates(contact, m):
-                kind = FixedMapKind(contact, m, shape)
-                evaluate = end_contribution if kind.is_end_bubble else ruled_contribution
-                main, tangent, scale = step_parts(evaluate(kind))
-                if isinstance(kind.shape, Family):
-                    main = main * psi_integral(kind.degree, kind.shape.h)
-                expected = main * tangent * scale
-                assert product(f for _, f in step_factors(kind)) == expected
         for chain in enumerate_chains(m):
             trace = chain_factors(chain)
             for i, step in enumerate(chain.steps, 1):
